@@ -14,10 +14,8 @@ namespace visrt::bench {
 
 inline RunResult run_stencil(const SystemConfig& sys, std::uint32_t nodes,
                              int iterations = 5, bool telemetry = false,
-                             unsigned analysis_threads = 1,
                              bool profile = false) {
-  RuntimeConfig rcfg =
-      bench_runtime_config(sys, nodes, telemetry, analysis_threads);
+  RuntimeConfig rcfg = bench_runtime_config(sys, nodes, telemetry);
   rcfg.profile = profile;
   apps::StencilConfig cfg;
   // Near-square 2-D piece grid (node counts are powers of two).
@@ -44,10 +42,8 @@ inline RunResult run_stencil(const SystemConfig& sys, std::uint32_t nodes,
 
 inline RunResult run_circuit(const SystemConfig& sys, std::uint32_t nodes,
                              int iterations = 5, bool telemetry = false,
-                             unsigned analysis_threads = 1,
                              bool profile = false) {
-  RuntimeConfig rcfg =
-      bench_runtime_config(sys, nodes, telemetry, analysis_threads);
+  RuntimeConfig rcfg = bench_runtime_config(sys, nodes, telemetry);
   rcfg.profile = profile;
   apps::CircuitConfig cfg;
   cfg.pieces = nodes;
@@ -70,10 +66,8 @@ inline RunResult run_circuit(const SystemConfig& sys, std::uint32_t nodes,
 
 inline RunResult run_pennant(const SystemConfig& sys, std::uint32_t nodes,
                              int iterations = 5, bool telemetry = false,
-                             unsigned analysis_threads = 1,
                              bool profile = false) {
-  RuntimeConfig rcfg =
-      bench_runtime_config(sys, nodes, telemetry, analysis_threads);
+  RuntimeConfig rcfg = bench_runtime_config(sys, nodes, telemetry);
   rcfg.profile = profile;
   apps::PennantConfig cfg;
   // Pieces in a near-square 2-D grid covering `nodes` pieces.

@@ -9,8 +9,7 @@ int main(int argc, char** argv) {
   bool telemetry = !metrics.empty();
   auto runner = [telemetry, &wc](const SystemConfig& sys,
                                  std::uint32_t nodes) {
-    return run_pennant(sys, nodes, 5, telemetry, wc.threads,
-                      wall_clock_profiling(wc));
+    return run_pennant(sys, nodes, 5, telemetry, wall_clock_profiling(wc));
   };
   if (wc.enabled)
     return run_wall_clock("fig14_pennant_init", "pennant", wc, runner);

@@ -75,15 +75,13 @@ struct FigureSpec {
 
 inline RuntimeConfig bench_runtime_config(const SystemConfig& sys,
                                           std::uint32_t nodes,
-                                          bool telemetry = false,
-                                          unsigned analysis_threads = 1) {
+                                          bool telemetry = false) {
   RuntimeConfig cfg;
   cfg.algorithm = sys.algorithm;
   cfg.dcr = sys.dcr;
   cfg.track_values = false; // analysis-only: the figures measure overhead
   cfg.telemetry = telemetry;
   cfg.machine.num_nodes = nodes;
-  cfg.analysis_threads = analysis_threads;
   return cfg;
 }
 

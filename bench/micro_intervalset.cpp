@@ -70,8 +70,7 @@ void BM_Overlaps(benchmark::State& state) {
 BENCHMARK(BM_Overlaps)->Arg(4)->Arg(64)->Arg(1024);
 
 // --wall-clock mode: time the four interval-set operations directly and
-// append a BENCH_analysis.json entry.  The algebra is pure and
-// single-threaded, so --threads is recorded but does not change the work.
+// append a BENCH_analysis.json entry.
 int run_wall_clock_micro(const bench::WallClockOptions& wc) {
   struct Op {
     const char* label;
@@ -110,7 +109,7 @@ int run_wall_clock_micro(const bench::WallClockOptions& wc) {
   }
   std::ostringstream entry;
   entry << " {\"bench\":\"micro_intervalset\",\"app\":\"synthetic\","
-        << "\"threads\":" << wc.threads << ",\n  \"runs\":[\n    "
+        << "\"threads\":1,\n  \"runs\":[\n    "
         << runs.str() << "]}";
   if (!bench::append_bench_entry(wc.out_path, entry.str())) {
     std::fprintf(stderr, "error: could not write %s\n", wc.out_path.c_str());

@@ -5,7 +5,6 @@
 
 #include <chrono>
 
-#include "common/executor.h"
 #include "common/rng.h"
 #include "metrics_common.h"
 #include "wallclock_common.h"
@@ -16,9 +15,6 @@
 
 namespace visrt {
 namespace {
-
-/// Lanes for the *Parallel benchmark variants; set from --threads.
-unsigned g_engine_threads = 1;
 
 /// A paper-Figure-1-shaped program: primary + aliased ghost partitions.
 struct Workload {
@@ -91,37 +87,6 @@ BENCHMARK_CAPTURE(BM_EngineIteration, raycast, Algorithm::RayCast)
     ->Arg(32)
     ->Arg(128);
 
-// Same iteration loop with the analysis executor attached: the engines
-// shard their interference scans across g_engine_threads lanes
-// (bit-identical results; see docs/PERFORMANCE.md).
-void BM_EngineIterationParallel(benchmark::State& state,
-                                Algorithm algorithm) {
-  int pieces = static_cast<int>(state.range(0));
-  Workload w(pieces);
-  Executor ex(g_engine_threads);
-  EngineConfig config;
-  config.forest = &w.forest;
-  config.track_values = false;
-  if (ex.parallel()) config.executor = &ex;
-  auto engine = make_engine(algorithm, config);
-  engine->initialize_field(w.root, 0, RegionData<double>{}, 0);
-  LaunchID next = 0;
-  for (auto _ : state) {
-    run_iteration(*engine, w, next);
-  }
-  state.SetItemsProcessed(state.iterations() * pieces * 2);
-}
-
-BENCHMARK_CAPTURE(BM_EngineIterationParallel, paint, Algorithm::Paint)
-    ->Arg(128)
-    ->Arg(512);
-BENCHMARK_CAPTURE(BM_EngineIterationParallel, warnock, Algorithm::Warnock)
-    ->Arg(128)
-    ->Arg(512);
-BENCHMARK_CAPTURE(BM_EngineIterationParallel, raycast, Algorithm::RayCast)
-    ->Arg(128)
-    ->Arg(512);
-
 // --wall-clock mode: bypass google-benchmark and time the engine
 // iteration loop directly, appending a BENCH_analysis.json entry so the
 // micro numbers land next to the figure-bench ones.
@@ -137,19 +102,16 @@ int run_wall_clock_micro(const bench::WallClockOptions& wc) {
       {"raycast", Algorithm::RayCast},
   };
   constexpr int kIters = 10;
-  std::printf("# micro_visibility --wall-clock: engine-iteration seconds, "
-              "threads=%u\n", wc.threads);
-  std::printf("system\tpieces\tthreads\tanalysis_wall_s\n");
+  std::printf("# micro_visibility --wall-clock: engine-iteration seconds\n");
+  std::printf("system\tpieces\tanalysis_wall_s\n");
   std::ostringstream runs;
   bool first = true;
   for (const Sys& sys : systems) {
     for (std::uint32_t pieces : wc.nodes) {
       Workload w(static_cast<int>(pieces));
-      Executor ex(wc.threads);
       EngineConfig config;
       config.forest = &w.forest;
       config.track_values = false;
-      if (ex.parallel()) config.executor = &ex;
       auto engine = make_engine(sys.algorithm, config);
       engine->initialize_field(w.root, 0, RegionData<double>{}, 0);
       LaunchID next = 0;
@@ -160,8 +122,7 @@ int run_wall_clock_micro(const bench::WallClockOptions& wc) {
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         start)
               .count();
-      std::printf("%s\t%u\t%u\t%.6f\n", sys.label, pieces, wc.threads,
-                  seconds);
+      std::printf("%s\t%u\t%.6f\n", sys.label, pieces, seconds);
       if (!first) runs << ",\n    ";
       first = false;
       runs << "{\"system\":\"" << sys.label << "\",\"nodes\":" << pieces
@@ -171,7 +132,7 @@ int run_wall_clock_micro(const bench::WallClockOptions& wc) {
   }
   std::ostringstream entry;
   entry << " {\"bench\":\"micro_visibility\",\"app\":\"synthetic\","
-        << "\"threads\":" << wc.threads << ",\n  \"runs\":[\n    "
+        << "\"threads\":1,\n  \"runs\":[\n    "
         << runs.str() << "]}";
   if (!bench::append_bench_entry(wc.out_path, entry.str())) {
     std::fprintf(stderr, "error: could not write %s\n", wc.out_path.c_str());
@@ -243,7 +204,6 @@ int main(int argc, char** argv) {
   visrt::bench::WallClockOptions wc =
       visrt::bench::take_wall_clock_args(argc, argv);
   std::string metrics = visrt::bench::take_metrics_json_arg(argc, argv);
-  visrt::g_engine_threads = wc.threads;
   if (wc.enabled) return visrt::run_wall_clock_micro(wc);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -6,7 +6,7 @@
 // epoch retirement and composite-view history collapsing on, and reports
 // the sustained ingest rate and the residency plateau:
 //
-//   stream_sustained [--launches N] [--pieces N] [--threads N]
+//   stream_sustained [--launches N] [--pieces N]
 //                    [--retire-interval N] [--max-resident-launches N]
 //                    [--max-history-depth N] [--values]
 //                    [--bench-out PATH] [--metrics-json PATH]
@@ -38,7 +38,6 @@ namespace {
 struct Options {
   std::size_t launches = 1u << 20; // 1,048,576
   std::size_t pieces = 64;
-  unsigned threads = 1;
   std::size_t retire_interval = 1024;
   std::size_t max_resident_launches = 8192;
   std::size_t max_history_depth = 64;
@@ -81,7 +80,7 @@ std::string prologue(const Options& opt) {
 int usage() {
   std::fprintf(stderr,
                "usage: stream_sustained [--launches N] [--pieces N] "
-               "[--threads N] [--retire-interval N] "
+               "[--retire-interval N] "
                "[--max-resident-launches N] [--max-history-depth N] "
                "[--values] [--bench-out PATH] [--metrics-json PATH]\n");
   return 2;
@@ -99,7 +98,6 @@ int main(int argc, char** argv) {
     };
     if (arg == "--launches") opt.launches = static_cast<std::size_t>(next());
     else if (arg == "--pieces") opt.pieces = static_cast<std::size_t>(next());
-    else if (arg == "--threads") opt.threads = static_cast<unsigned>(next());
     else if (arg == "--retire-interval")
       opt.retire_interval = static_cast<std::size_t>(next());
     else if (arg == "--max-resident-launches")
@@ -117,7 +115,6 @@ int main(int argc, char** argv) {
   so.max_resident_launches = opt.max_resident_launches;
   so.max_history_depth = opt.max_history_depth;
   so.track_values = opt.values;
-  so.analysis_threads = opt.threads;
   so.on_error = [](const std::string& e) {
     std::fprintf(stderr, "stream_sustained: statement rejected: %s\n",
                  e.c_str());
@@ -125,9 +122,9 @@ int main(int argc, char** argv) {
   };
   serve::StreamSession session(so);
 
-  std::printf("# stream_sustained: %zu launches, %zu pieces, threads=%u, "
+  std::printf("# stream_sustained: %zu launches, %zu pieces, "
               "retire=%zu cap=%zu depth=%zu values=%d\n",
-              opt.launches, opt.pieces, opt.threads, opt.retire_interval,
+              opt.launches, opt.pieces, opt.retire_interval,
               opt.max_resident_launches, opt.max_history_depth,
               opt.values ? 1 : 0);
 
@@ -192,7 +189,7 @@ int main(int argc, char** argv) {
 
   std::ostringstream entry;
   entry << "{\"bench\":\"stream_sustained\",\"app\":\"synthetic\","
-        << "\"threads\":" << opt.threads << ",\"runs\":[{"
+        << "\"threads\":1,\"runs\":[{"
         << "\"system\":\"serve_stream\",\"nodes\":4,"
         << "\"analysis_wall_s\":" << obs::json_number(wall)
         << ",\"launches\":" << c.launches

@@ -1,23 +1,24 @@
 // Wall-clock benchmark mode for the figure and micro benches:
-//   --wall-clock [--threads N] [--nodes A,B,...] [--bench-out PATH]
+//   --wall-clock [--nodes A,B,...] [--bench-out PATH] [--profile-out PATH]
 // Instead of the simulated-time figure sweep, run each paper system at the
-// requested node counts with RuntimeConfig::analysis_threads = N and
-// report real seconds spent inside the analysis sections
-// (RunStats::analysis_wall_s).  Results append to BENCH_analysis.json at
-// the working directory root (schema v1; see docs/PERFORMANCE.md):
+// requested node counts and report real seconds spent inside the analysis
+// sections (RunStats::analysis_wall_s).  Results append to
+// BENCH_analysis.json at the working directory root (schema v1; see
+// docs/PERFORMANCE.md).  Analysis runs on one thread; every entry keeps
+// `"threads":1` so schema-v1 readers keep working:
 //
 //   {"schema_version":1,
-//    "entries":[{"bench":"fig13_circuit_init","app":"circuit","threads":8,
+//    "entries":[{"bench":"fig13_circuit_init","app":"circuit","threads":1,
 //                "runs":[{"system":"neweqcr_dcr","nodes":256,
 //                         "analysis_wall_s":...,"analysis_cpu_s":...,
 //                         "launches":...,"dep_edges":...,"messages":...,
 //                         "init_time_s":...,"total_time_s":...}, ...]},
 //               ...]}
 //
-// Each invocation appends one entry, so a threads-1 run followed by a
-// threads-8 run of the same bench lands in one file for the speedup
-// comparison.  The flags are stripped from argv before any other parsing
-// so they compose with --metrics-json and google-benchmark's own flags.
+// Each invocation appends one entry, so repeated runs of the same bench
+// land in one file.  The flags are stripped from argv before any other
+// parsing so they compose with --metrics-json and google-benchmark's own
+// flags.
 #pragma once
 
 #include <cstdio>
@@ -34,14 +35,13 @@ namespace visrt::bench {
 
 struct WallClockOptions {
   bool enabled = false;
-  unsigned threads = 1;
   /// Simulated node counts to sweep; defaults to {256}, the size the
   /// speedup acceptance runs at.
   std::vector<std::uint32_t> nodes;
   std::string out_path = "BENCH_analysis.json";
   /// When nonempty, run with the analysis profiler on and write every
-  /// run's schema-v1 profile report (phase attribution, serial fraction,
-  /// lock contention; docs/OBSERVABILITY.md) to this file.
+  /// run's schema-v1 profile report (phase attribution;
+  /// docs/OBSERVABILITY.md) to this file.
   std::string profile_out;
 };
 
@@ -76,14 +76,6 @@ inline WallClockOptions take_wall_clock_args(int& argc, char** argv) {
       opts.enabled = true;
       continue;
     }
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      opts.threads = static_cast<unsigned>(std::atoi(argv[i] + 10));
-      continue;
-    }
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      opts.threads = static_cast<unsigned>(std::atoi(argv[++i]));
-      continue;
-    }
     if (std::strncmp(argv[i], "--nodes=", 8) == 0) {
       parse_nodes(argv[i] + 8);
       continue;
@@ -112,7 +104,6 @@ inline WallClockOptions take_wall_clock_args(int& argc, char** argv) {
   }
   argc = out;
   argv[argc] = nullptr;
-  if (opts.threads < 1) opts.threads = 1;
   if (opts.nodes.empty()) opts.nodes.push_back(256);
   return opts;
 }
@@ -154,14 +145,12 @@ inline bool append_bench_entry(const std::string& path,
 
 /// The wall-clock sweep: every paper system at every requested node count,
 /// one measured run each (the analysis is deterministic; host timing noise
-/// is what it is).  The runner must construct its RuntimeConfig with
-/// analysis_threads = opts.threads (the figure mains capture it).
+/// is what it is).
 inline int run_wall_clock(const char* bench, const char* app,
                           const WallClockOptions& opts,
                           const ConfigRunner& runner) {
-  std::printf("# %s --wall-clock: real analysis seconds, threads=%u\n",
-              bench, opts.threads);
-  std::printf("system\tnodes\tthreads\tanalysis_wall_s\tanalysis_cpu_s\t"
+  std::printf("# %s --wall-clock: real analysis seconds\n", bench);
+  std::printf("system\tnodes\tanalysis_wall_s\tanalysis_cpu_s\t"
               "launches\tdep_edges\n");
   std::ostringstream runs;
   std::ostringstream profiles;
@@ -177,9 +166,9 @@ inline int run_wall_clock(const char* bench, const char* app,
                  << ",\"profile\":" << result.profile_json << "}";
       }
       const RunStats& st = result.stats;
-      std::printf("%s\t%u\t%u\t%.6f\t%.6f\t%zu\t%zu\n", sys.label, nodes,
-                  opts.threads, st.analysis_wall_s, st.analysis_cpu_s,
-                  st.launches, st.dep_edges);
+      std::printf("%s\t%u\t%.6f\t%.6f\t%zu\t%zu\n", sys.label, nodes,
+                  st.analysis_wall_s, st.analysis_cpu_s, st.launches,
+                  st.dep_edges);
       total_wall += st.analysis_wall_s;
       if (!first) runs << ",\n    ";
       first = false;
@@ -197,8 +186,7 @@ inline int run_wall_clock(const char* bench, const char* app,
   std::printf("# total analysis_wall_s across systems: %.6f\n", total_wall);
   std::ostringstream entry;
   entry << " {\"bench\":\"" << bench << "\",\"app\":\"" << app
-        << "\",\"threads\":" << opts.threads << ",\n  \"runs\":[\n    "
-        << runs.str() << "]}";
+        << "\",\"threads\":1,\n  \"runs\":[\n    " << runs.str() << "]}";
   if (!append_bench_entry(opts.out_path, entry.str())) {
     std::fprintf(stderr, "error: could not write %s\n",
                  opts.out_path.c_str());
@@ -208,8 +196,7 @@ inline int run_wall_clock(const char* bench, const char* app,
   if (wall_clock_profiling(opts)) {
     std::ofstream prof(opts.profile_out, std::ios::trunc);
     prof << "{\"schema_version\":1,\"bench\":\"" << bench
-         << "\",\"threads\":" << opts.threads << ",\n \"runs\":[\n  "
-         << profiles.str() << "]}\n";
+         << "\",\n \"runs\":[\n  " << profiles.str() << "]}\n";
     if (prof.good())
       std::printf("# profile reports written to %s\n",
                   opts.profile_out.c_str());

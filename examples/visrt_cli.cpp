@@ -42,46 +42,29 @@
 //     why.  Runs every engine and flags disagreements.
 //     --engine NAME    explain one engine only (default: all, with the
 //                      spec's subject engine reported in detail)
-//     --threads N      analysis thread count override
-//     --shard-batch N  shard batch granularity override (0 = default)
 //
 //   visrt_cli inspect <prog.visprog> [options]
 //     Equivalence-set lifecycle introspection: per-field population /
 //     refinement-depth / coalesce time-series on the launch clock, plus
-//     the per-node message ledger (root fan-in) and the analysis
-//     executor (threads, shard groups, serial fraction).
+//     the per-node message ledger (root fan-in).
 //     --engine NAME    engine override (default: the spec's subject)
-//     --threads N      analysis thread count override
-//     --shard-batch N  shard batch granularity override (0 = default)
-//     --metrics-json F deterministic schema-v2 metrics (bit-identical
-//                      across --threads values except the "executor"
-//                      section, which reports host execution)
+//     --metrics-json F deterministic schema-v2 metrics (launch-clock
+//                      quantities only; no host state)
 //     --trace-out F    Perfetto timeline with lifecycle counter tracks
 //
 //   visrt_cli profile <app|prog.visprog> [options]
-//     Contention-aware scaling profile (docs/PERFORMANCE.md): run the
-//     target once per thread count with the analysis profiler on, then
-//     print the per-phase attribution (parallel shard scans vs the
-//     serial canonical-order merges / provenance / other bookkeeping),
-//     the measured serial fraction with its Amdahl speedup bound, lock
-//     contention, and the top serialization sources.  Structure fields
-//     (phase labels, event counts) are asserted byte-identical across
-//     the sweep; the process exits nonzero when they diverge.
-//     Apps default to the fig13 weak-scaling shape (circuit: 200 nodes
-//     and 300 wires per piece).
+//     Phase profile (docs/OBSERVABILITY.md): run the target once with the
+//     analysis profiler on and print where the analysis wall time goes —
+//     one row per phase label (events, seconds, share of the wall), the
+//     unattributed remainder and the coverage.  Apps default to the fig13
+//     weak-scaling shape (circuit: 200 nodes and 300 wires per piece).
 //     --engine NAME        engine (default raycast; programs: the spec's
 //                          subject)
 //     --dcr                enable DCR (apps only)
 //     --nodes N            simulated machine size (default 16)
 //     --iters N            iterations (default 5)
 //     --size N             per-piece problem scale (default app-specific)
-//     --threads-sweep LIST analysis thread counts, e.g. 1,2,4,8
-//                          (default 1)
-//     --shard-batch N      shard batch granularity override (0 = default)
-//     --top N              serialization sources to name (default 5)
 //     --json F             machine-readable report (schema v1)
-//     --trace-out F        profiler wall-clock Perfetto timeline of the
-//                          last sweep run
 //
 //   visrt_cli serve (--socket PATH | --stdin) [options]
 //     Streaming analysis daemon (docs/SERVING.md): accepts `.visprog` IR
@@ -95,9 +78,6 @@
 //     drain gracefully: in-flight sessions finish and reply.
 //     --engine NAME              engine override (default: each stream's
 //                                configured subject)
-//     --threads N                analysis thread count override
-//     --shard-batch N            shard batch granularity override
-//                                (0 = default)
 //     --retire-interval N        retire every N ingested launches
 //                                (default 1024; 0 = only when forced)
 //     --max-resident-launches N  residency cap forcing retirement
@@ -118,7 +98,7 @@
 //   visrt_cli verify tests/corpus --json verify.json
 //   visrt_cli explain tests/corpus/figure5_stream.visprog --edge 0,3
 //   visrt_cli inspect tests/corpus/figure5_stream.visprog --metrics-json m.json
-//   visrt_cli profile circuit --dcr --nodes 256 --threads-sweep 1,8
+//   visrt_cli profile circuit --dcr --nodes 256
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -186,17 +166,13 @@ int usage() {
                "       visrt_cli verify <file-or-dir>... [--engine NAME] "
                "[--json F] [--metrics-json F]\n"
                "       visrt_cli explain <prog.visprog> --edge A,B "
-               "[--engine NAME] [--threads N] [--shard-batch N]\n"
+               "[--engine NAME]\n"
                "       visrt_cli inspect <prog.visprog> [--engine NAME] "
-               "[--threads N] [--shard-batch N] [--metrics-json F] "
-               "[--trace-out F]\n"
+               "[--metrics-json F] [--trace-out F]\n"
                "       visrt_cli profile <app|prog.visprog> [--engine NAME] "
-               "[--dcr] [--nodes N] [--iters N] [--size N] "
-               "[--threads-sweep LIST] [--shard-batch N] [--top N] [--json F] "
-               "[--trace-out F]\n"
+               "[--dcr] [--nodes N] [--iters N] [--size N] [--json F]\n"
                "       visrt_cli serve (--socket PATH | --stdin) "
-               "[--engine NAME] [--threads N] [--shard-batch N] "
-               "[--retire-interval N] "
+               "[--engine NAME] [--retire-interval N] "
                "[--max-resident-launches N] [--max-history-depth N] "
                "[--no-values] [--verify] [--metrics-json F]\n"
                "       (any form accepts --log-json)\n");
@@ -366,7 +342,6 @@ int run_verify(std::vector<std::string> args) {
 // --- dependence provenance (`visrt_cli explain`) ---------------------------
 
 void maybe_export_trace(const Runtime& rt, const std::string& path);
-std::string executor_metrics_json(Runtime& rt, unsigned threads);
 
 /// Load a .visprog spec; returns false (after printing) on failure.
 bool load_spec(const std::string& path, fuzz::ProgramSpec& spec) {
@@ -483,8 +458,6 @@ void explain_in_detail(const Runtime& rt, LaunchID a, LaunchID b) {
 int run_explain(std::vector<std::string> args) {
   std::string prog;
   std::optional<Algorithm> engine_override;
-  unsigned threads = 0;
-  std::size_t shard_batch = 0;
   LaunchID edge_a = kInvalidLaunch, edge_b = kInvalidLaunch;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--edge" && i + 1 < args.size()) {
@@ -502,10 +475,6 @@ int run_explain(std::vector<std::string> args) {
                      args[i].c_str());
         return 2;
       }
-    } else if (args[i] == "--threads" && i + 1 < args.size()) {
-      threads = static_cast<unsigned>(std::atol(args[++i].c_str()));
-    } else if (args[i] == "--shard-batch" && i + 1 < args.size()) {
-      shard_batch = static_cast<std::size_t>(std::atol(args[++i].c_str()));
     } else if (prog.empty() && args[i][0] != '-') {
       prog = args[i];
     } else {
@@ -533,8 +502,6 @@ int run_explain(std::vector<std::string> args) {
   for (std::size_t e = 0; e < engines.size(); ++e) {
     fuzz::LiveRunOptions options;
     options.provenance = true;
-    options.analysis_threads = threads;
-    options.shard_batch = shard_batch;
     options.subject = engines[e];
     fuzz::LiveRun live = fuzz::run_program_live(spec, options);
     if (live.runtime == nullptr) {
@@ -603,8 +570,6 @@ population_series(const obs::LifecycleLedger& ledger, FieldID field) {
 int run_inspect(std::vector<std::string> args) {
   std::string prog, metrics_json, trace_out;
   std::optional<Algorithm> engine_override;
-  unsigned threads = 0;
-  std::size_t shard_batch = 0;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--engine" && i + 1 < args.size()) {
       engine_override = parse_algorithm(args[++i]);
@@ -613,10 +578,6 @@ int run_inspect(std::vector<std::string> args) {
                      args[i].c_str());
         return 2;
       }
-    } else if (args[i] == "--threads" && i + 1 < args.size()) {
-      threads = static_cast<unsigned>(std::atol(args[++i].c_str()));
-    } else if (args[i] == "--shard-batch" && i + 1 < args.size()) {
-      shard_batch = static_cast<std::size_t>(std::atol(args[++i].c_str()));
     } else if (args[i] == "--metrics-json" && i + 1 < args.size()) {
       metrics_json = args[++i];
     } else if ((args[i] == "--trace-out" || args[i] == "--chrome-trace") &&
@@ -636,9 +597,6 @@ int run_inspect(std::vector<std::string> args) {
   fuzz::LiveRunOptions options;
   options.provenance = true;
   options.telemetry = !trace_out.empty();
-  options.profile = true;
-  options.analysis_threads = threads;
-  options.shard_batch = shard_batch;
   options.subject = engine_override;
   fuzz::LiveRun live = fuzz::run_program_live(spec, options);
   if (live.runtime == nullptr) {
@@ -705,30 +663,12 @@ int run_inspect(std::vector<std::string> args) {
                   static_cast<unsigned long long>(traffic[n].recv_bytes));
   }
 
-  {
-    const RunStats st = rt.finish();
-    const obs::ProfileReport prof = rt.profiler().report(
-        static_cast<std::uint64_t>(st.analysis_wall_s * 1e9));
-    std::printf("analysis executor: %u thread%s, %llu shard groups "
-                "(%llu tasks)",
-                std::max(1u, threads), threads > 1 ? "s" : "",
-                static_cast<unsigned long long>(prof.groups),
-                static_cast<unsigned long long>(prof.group_tasks));
-    if (rt.profiler().enabled())
-      std::printf("; serial fraction %.2f (Amdahl max %.1fx)",
-                  prof.serial_fraction, prof.amdahl_max_speedup);
-    std::printf("\n");
-  }
-
   if (!trace_out.empty()) maybe_export_trace(rt, trace_out);
 
   if (!metrics_json.empty()) {
     // Deterministic schema-v2 run object: only launch-clock quantities, no
-    // wall-clock or host state, so the file is bit-identical across
-    // --threads values -- except the "executor" section, which reports how
-    // this host actually executed the analysis (thread count, shard
-    // groups, measured serial fraction) and is stripped by golden
-    // comparisons (see .github/workflows/ci.yml).
+    // wall-clock or host state, so the file is byte-identical on every
+    // host (CI compares it with tests/corpus/figure5_stream.inspect.json).
     std::string stem = std::filesystem::path(prog).stem().string();
     std::ostringstream run;
     run << "{\"name\":\"inspect/" << obs::json_escape(stem)
@@ -740,8 +680,7 @@ int run_inspect(std::vector<std::string> args) {
         << ",\"provenance\":{\"enabled\":"
         << (obs::kProvenanceEnabled ? "true" : "false")
         << ",\"edges_annotated\":" << rt.dep_graph().provenance_count()
-        << "},\"executor\":" << executor_metrics_json(rt, threads)
-        << ",\"lifecycle\":" << ledger.json()
+        << "},\"lifecycle\":" << ledger.json()
         << ",\"messages\":" << messages.json() << ",\"eqset_series\":{";
     bool first_field = true;
     for (FieldID field : ledger.fields()) {
@@ -768,62 +707,15 @@ int run_inspect(std::vector<std::string> args) {
   return 0;
 }
 
-// --- scaling profile (`visrt_cli profile`) ---------------------------------
-
-/// The host-execution section of the inspect metrics JSON.  Unlike the
-/// rest of the run object this is *not* thread-count invariant.
-std::string executor_metrics_json(Runtime& rt, unsigned threads) {
-  const RunStats st = rt.finish();
-  const obs::ProfileReport prof = rt.profiler().report(
-      static_cast<std::uint64_t>(st.analysis_wall_s * 1e9));
-  std::ostringstream os;
-  os << "{\"threads\":" << std::max(1u, threads)
-     << ",\"profile_enabled\":"
-     << (rt.profiler().enabled() ? "true" : "false")
-     << ",\"shard_groups\":" << prof.groups
-     << ",\"shard_tasks\":" << prof.group_tasks
-     << ",\"serial_fraction\":" << obs::json_number(prof.serial_fraction)
-     << ",\"amdahl_max_speedup\":"
-     << obs::json_number(prof.amdahl_max_speedup) << "}";
-  return os.str();
-}
-
-/// One measured run of the profile sweep.
-struct ProfiledRun {
-  unsigned threads = 1;
-  double wall_s = 0;
-  std::size_t launches = 0;
-  std::size_t dep_edges = 0;
-  std::string structure; ///< thread-count-invariant JSON
-  std::string timing;    ///< host/thread-dependent JSON
-  obs::ProfileReport report;
-};
-
-/// Capture the profile of a finished runtime.
-ProfiledRun capture_profile(Runtime& rt, unsigned threads) {
-  ProfiledRun out;
-  out.threads = std::max(1u, threads);
-  const RunStats st = rt.finish();
-  out.wall_s = st.analysis_wall_s;
-  out.launches = st.launches;
-  out.dep_edges = st.dep_edges;
-  const auto wall_ns = static_cast<std::uint64_t>(st.analysis_wall_s * 1e9);
-  out.report = rt.profiler().report(wall_ns);
-  out.structure = rt.profiler().structure_json();
-  out.timing = rt.profiler().timing_json(wall_ns, out.threads);
-  return out;
-}
+// --- phase profile (`visrt_cli profile`) -----------------------------------
 
 int run_profile(std::vector<std::string> args) {
-  std::string target, json_path, trace_out;
+  std::string target, json_path;
   std::optional<Algorithm> engine_override;
   bool dcr = false;
   std::uint32_t nodes = 16;
   int iters = 5;
   coord_t size = 0;
-  std::size_t top = 5;
-  std::size_t shard_batch = 0;
-  std::vector<unsigned> sweep;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--engine" && i + 1 < args.size()) {
       engine_override = parse_algorithm(args[++i]);
@@ -840,23 +732,8 @@ int run_profile(std::vector<std::string> args) {
       iters = static_cast<int>(std::atol(args[++i].c_str()));
     } else if (args[i] == "--size" && i + 1 < args.size()) {
       size = std::atol(args[++i].c_str());
-    } else if (args[i] == "--top" && i + 1 < args.size()) {
-      top = static_cast<std::size_t>(std::atol(args[++i].c_str()));
-    } else if (args[i] == "--shard-batch" && i + 1 < args.size()) {
-      shard_batch = static_cast<std::size_t>(std::atol(args[++i].c_str()));
-    } else if (args[i] == "--threads-sweep" && i + 1 < args.size()) {
-      for (const char* p = args[++i].c_str(); *p != '\0';) {
-        char* end = nullptr;
-        long v = std::strtol(p, &end, 10);
-        if (end == p) break;
-        if (v > 0) sweep.push_back(static_cast<unsigned>(v));
-        p = *end == ',' ? end + 1 : end;
-      }
     } else if (args[i] == "--json" && i + 1 < args.size()) {
       json_path = args[++i];
-    } else if ((args[i] == "--trace-out" || args[i] == "--chrome-trace") &&
-               i + 1 < args.size()) {
-      trace_out = args[++i];
     } else if (target.empty() && args[i][0] != '-') {
       target = args[i];
     } else {
@@ -864,7 +741,6 @@ int run_profile(std::vector<std::string> args) {
     }
   }
   if (target.empty()) return usage();
-  if (sweep.empty()) sweep.push_back(1);
 
   const bool is_app =
       target == "stencil" || target == "circuit" || target == "pennant";
@@ -877,188 +753,96 @@ int run_profile(std::vector<std::string> args) {
     std::printf("(profiler compiled out: -DVISRT_PROFILE=OFF; timings "
                 "below are empty)\n");
 
-  std::vector<ProfiledRun> runs;
-  for (std::size_t r = 0; r < sweep.size(); ++r) {
-    const unsigned threads = sweep[r];
-    std::unique_ptr<Runtime> owned;
-    if (is_app) {
-      RuntimeConfig cfg;
-      cfg.algorithm = engine;
-      cfg.dcr = dcr;
-      cfg.track_values = false; // analysis-only, like the scaling benches
-      cfg.profile = true;
-      cfg.analysis_threads = threads;
-      cfg.shard_batch = shard_batch;
-      cfg.machine.num_nodes = nodes;
-      owned = std::make_unique<Runtime>(cfg);
-      if (target == "circuit") {
-        // The fig13 weak-scaling shape (one piece per simulated node).
-        apps::CircuitConfig acfg;
-        acfg.pieces = nodes;
-        acfg.nodes_per_piece = size > 0 ? static_cast<std::uint32_t>(size)
-                                        : 200;
-        acfg.wires_per_piece = acfg.nodes_per_piece * 3 / 2;
-        acfg.cross_fraction = 0.15;
-        acfg.iterations = iters;
-        apps::CircuitApp app(*owned, acfg);
-        app.run();
-      } else if (target == "stencil") {
-        apps::StencilConfig acfg;
-        std::uint32_t px = 1;
-        while (px * px < nodes) px *= 2;
-        acfg.pieces_x = px;
-        acfg.pieces_y = std::max<std::uint32_t>(1, nodes / px);
-        acfg.tile_rows = acfg.tile_cols = size > 0 ? size : 128;
-        acfg.iterations = iters;
-        apps::StencilApp app(*owned, acfg);
-        app.run();
-      } else {
-        apps::PennantConfig acfg;
-        std::uint32_t px = 1;
-        while (px * px < nodes) px *= 2;
-        acfg.pieces_x = px;
-        acfg.pieces_y = std::max<std::uint32_t>(1, nodes / px);
-        acfg.zones_per_piece_x = acfg.zones_per_piece_y =
-            size > 0 ? static_cast<std::uint32_t>(size) : 32;
-        acfg.iterations = iters;
-        apps::PennantApp app(*owned, acfg);
-        app.run();
-      }
+  std::unique_ptr<Runtime> owned;
+  if (is_app) {
+    RuntimeConfig cfg;
+    cfg.algorithm = engine;
+    cfg.dcr = dcr;
+    cfg.track_values = false; // analysis-only, like the figure benches
+    cfg.profile = true;
+    cfg.machine.num_nodes = nodes;
+    owned = std::make_unique<Runtime>(cfg);
+    if (target == "circuit") {
+      // The fig13 weak-scaling shape (one piece per simulated node).
+      apps::CircuitConfig acfg;
+      acfg.pieces = nodes;
+      acfg.nodes_per_piece = size > 0 ? static_cast<std::uint32_t>(size)
+                                      : 200;
+      acfg.wires_per_piece = acfg.nodes_per_piece * 3 / 2;
+      acfg.cross_fraction = 0.15;
+      acfg.iterations = iters;
+      apps::CircuitApp app(*owned, acfg);
+      app.run();
+    } else if (target == "stencil") {
+      apps::StencilConfig acfg;
+      std::uint32_t px = 1;
+      while (px * px < nodes) px *= 2;
+      acfg.pieces_x = px;
+      acfg.pieces_y = std::max<std::uint32_t>(1, nodes / px);
+      acfg.tile_rows = acfg.tile_cols = size > 0 ? size : 128;
+      acfg.iterations = iters;
+      apps::StencilApp app(*owned, acfg);
+      app.run();
     } else {
-      fuzz::LiveRunOptions options;
-      options.provenance = false;
-      options.profile = true;
-      options.analysis_threads = threads;
-      options.shard_batch = shard_batch;
-      options.subject = engine_override;
-      fuzz::LiveRun live = fuzz::run_program_live(spec, options);
-      if (live.runtime == nullptr) {
-        std::fprintf(stderr, "profile: run crashed: %s\n",
-                     live.result.crash_message.c_str());
-        return 1;
-      }
-      owned = std::move(live.runtime);
+      apps::PennantConfig acfg;
+      std::uint32_t px = 1;
+      while (px * px < nodes) px *= 2;
+      acfg.pieces_x = px;
+      acfg.pieces_y = std::max<std::uint32_t>(1, nodes / px);
+      acfg.zones_per_piece_x = acfg.zones_per_piece_y =
+          size > 0 ? static_cast<std::uint32_t>(size) : 32;
+      acfg.iterations = iters;
+      apps::PennantApp app(*owned, acfg);
+      app.run();
     }
-    runs.push_back(capture_profile(*owned, threads));
-    if (r + 1 == sweep.size() && !trace_out.empty()) {
-      std::ofstream out(trace_out);
-      owned->export_profile_trace(out);
-      std::printf("profile timeline written to %s\n", trace_out.c_str());
-    }
-  }
-
-  // The determinism contract: phase labels and event counts must not
-  // depend on the thread count.
-  for (std::size_t r = 1; r < runs.size(); ++r) {
-    if (runs[r].structure != runs[0].structure ||
-        runs[r].launches != runs[0].launches ||
-        runs[r].dep_edges != runs[0].dep_edges) {
-      std::fprintf(stderr,
-                   "profile: structure diverged between threads=%u and "
-                   "threads=%u\n  t%u: %s\n  t%u: %s\n",
-                   runs[0].threads, runs[r].threads, runs[0].threads,
-                   runs[0].structure.c_str(), runs[r].threads,
-                   runs[r].structure.c_str());
+  } else {
+    fuzz::LiveRunOptions options;
+    options.provenance = false;
+    options.profile = true;
+    options.subject = engine_override;
+    fuzz::LiveRun live = fuzz::run_program_live(spec, options);
+    if (live.runtime == nullptr) {
+      std::fprintf(stderr, "profile: run crashed: %s\n",
+                   live.result.crash_message.c_str());
       return 1;
     }
+    owned = std::move(live.runtime);
   }
+  const RunStats st = owned->finish();
+  const obs::Profiler& profiler = owned->profiler();
+  const auto wall_ns = static_cast<std::uint64_t>(st.analysis_wall_s * 1e9);
+  const obs::ProfileReport report = profiler.report(wall_ns);
 
   std::printf("== profile: %s on %s%s, %u simulated nodes, %zu launches, "
               "%zu dependence edges ==\n",
               target.c_str(), algorithm_name(engine), dcr ? " +DCR" : "",
-              nodes, runs[0].launches, runs[0].dep_edges);
-  for (const ProfiledRun& run : runs) {
-    std::printf("threads %u: analysis wall %.4f s", run.threads, run.wall_s);
-    if (obs::kProfileEnabled)
-      std::printf("  coverage %.1f%%  serial fraction %.2f  "
-                  "Amdahl max %.2fx  critical path %.4f s",
-                  run.report.coverage * 100.0, run.report.serial_fraction,
-                  run.report.amdahl_max_speedup,
-                  static_cast<double>(run.report.critical_path_ns) * 1e-9);
-    std::printf("\n");
-  }
-
-  const ProfiledRun& base = runs.front();
-  const ProfiledRun& last = runs.back();
-  if (obs::kProfileEnabled && !base.report.phases.empty()) {
-    std::printf("per-phase wall seconds (speedup vs threads=%u):\n",
-                base.threads);
-    std::printf("  %-11s %-28s %8s", "kind", "label", "events");
-    for (const ProfiledRun& run : runs) {
-      char hdr[16];
-      std::snprintf(hdr, sizeof hdr, "t=%u", run.threads);
-      std::printf(" %9s", hdr);
-    }
-    if (runs.size() > 1) std::printf(" %8s", "speedup");
-    std::printf("\n");
-    for (std::size_t i = 0; i < base.report.phases.size(); ++i) {
-      const obs::PhaseTotal& p = base.report.phases[i];
-      std::printf("  %-11s %-28s %8llu", phase_kind_name(p.kind),
-                  p.label.c_str(),
-                  static_cast<unsigned long long>(p.events));
-      for (const ProfiledRun& run : runs)
-        std::printf(" %9.4f",
-                    static_cast<double>(run.report.phases[i].wall_ns) * 1e-9);
-      if (runs.size() > 1) {
-        const std::uint64_t w = last.report.phases[i].wall_ns;
-        if (w > 0)
-          std::printf(" %7.2fx", static_cast<double>(p.wall_ns) /
-                                     static_cast<double>(w));
-      }
-      std::printf("\n");
-    }
-    std::printf("  %-11s %-28s %8s", "", "(unattributed)", "");
-    for (const ProfiledRun& run : runs)
-      std::printf(" %9.4f",
-                  static_cast<double>(run.report.unattributed_ns) * 1e-9);
-    std::printf("\n");
-    if (runs.size() > 1 && last.wall_s > 0)
-      std::printf("total analysis wall speedup (t=%u -> t=%u): %.2fx\n",
-                  base.threads, last.threads, base.wall_s / last.wall_s);
-
-    // Serialization sources: everything that cannot spread across the
-    // executor -- the canonical-order merges, provenance recording, other
-    // sequential phases -- plus measured lock waits, by time at the
-    // highest thread count.
-    struct Source {
-      std::string kind, label;
-      std::uint64_t ns = 0;
-      std::string note;
+              nodes, st.launches, st.dep_edges);
+  std::printf("analysis wall %.4f s", st.analysis_wall_s);
+  if (obs::kProfileEnabled)
+    std::printf("  coverage %.1f%%", report.coverage * 100.0);
+  std::printf("\n");
+  if (obs::kProfileEnabled && !report.phases.empty()) {
+    // Where the time goes, largest phase first.
+    std::vector<const obs::PhaseTotal*> phases;
+    for (const obs::PhaseTotal& p : report.phases) phases.push_back(&p);
+    std::stable_sort(phases.begin(), phases.end(),
+                     [](const obs::PhaseTotal* a, const obs::PhaseTotal* b) {
+                       return a->wall_ns > b->wall_ns;
+                     });
+    auto share = [&](std::uint64_t ns) {
+      return wall_ns > 0 ? 100.0 * static_cast<double>(ns) /
+                               static_cast<double>(wall_ns)
+                         : 0.0;
     };
-    std::vector<Source> sources;
-    for (const obs::PhaseTotal& p : last.report.phases) {
-      if (p.kind == obs::PhaseKind::ShardScan) continue;
-      sources.push_back({phase_kind_name(p.kind), p.label, p.wall_ns, ""});
-    }
-    for (const auto& [name, st] : last.report.locks) {
-      if (st.wait_total_ns == 0) continue;
-      char note[96];
-      std::snprintf(note, sizeof note, " (%llu/%llu acquisitions contended)",
-                    static_cast<unsigned long long>(st.contended),
-                    static_cast<unsigned long long>(st.acquisitions));
-      sources.push_back({"lock", name, st.wait_total_ns, note});
-    }
-    std::sort(sources.begin(), sources.end(),
-              [](const Source& a, const Source& b) { return a.ns > b.ns; });
-    if (sources.size() > top) sources.resize(top);
-    std::printf("top serialization sources at threads=%u:\n", last.threads);
-    for (std::size_t i = 0; i < sources.size(); ++i)
-      std::printf("  %zu. %-10s %-28s %.4f s  %.1f%% of wall%s\n", i + 1,
-                  sources[i].kind.c_str(), sources[i].label.c_str(),
-                  static_cast<double>(sources[i].ns) * 1e-9,
-                  last.report.wall_ns > 0
-                      ? 100.0 * static_cast<double>(sources[i].ns) /
-                            static_cast<double>(last.report.wall_ns)
-                      : 0.0,
-                  sources[i].note.c_str());
-    for (const auto& [name, st] : last.report.locks)
-      std::printf("lock %-24s %llu acquisitions, %llu contended, "
-                  "wait %.3f ms total / %.1f us max\n",
-                  name.c_str(),
-                  static_cast<unsigned long long>(st.acquisitions),
-                  static_cast<unsigned long long>(st.contended),
-                  static_cast<double>(st.wait_total_ns) * 1e-6,
-                  static_cast<double>(st.wait_max_ns) * 1e-3);
+    std::printf("  %-28s %8s %9s %7s\n", "phase", "events", "seconds",
+                "share");
+    for (const obs::PhaseTotal* p : phases)
+      std::printf("  %-28s %8llu %9.4f %6.1f%%\n", p->label.c_str(),
+                  static_cast<unsigned long long>(p->events),
+                  static_cast<double>(p->wall_ns) * 1e-9, share(p->wall_ns));
+    std::printf("  %-28s %8s %9.4f %6.1f%%\n", "(unattributed)", "",
+                static_cast<double>(report.unattributed_ns) * 1e-9,
+                share(report.unattributed_ns));
   }
 
   if (!json_path.empty()) {
@@ -1067,29 +851,11 @@ int run_profile(std::vector<std::string> args) {
        << (obs::kProfileEnabled ? "true" : "false") << ",\"target\":\""
        << obs::json_escape(target) << "\",\"engine\":\""
        << algorithm_name(engine) << "\",\"dcr\":" << (dcr ? "true" : "false")
-       << ",\"nodes\":" << nodes << ",\"launches\":" << runs[0].launches
-       << ",\"dep_edges\":" << runs[0].dep_edges
-       << ",\"structure\":" << runs[0].structure << ",\"runs\":[";
-    for (std::size_t r = 0; r < runs.size(); ++r) {
-      js << (r ? "," : "") << "{\"threads\":" << runs[r].threads
-         << ",\"analysis_wall_s\":" << obs::json_number(runs[r].wall_s)
-         << ",\"timing\":" << runs[r].timing << "}";
-    }
-    js << "],\"serialization_sources\":[";
-    std::vector<const obs::PhaseTotal*> serial;
-    for (const obs::PhaseTotal& p : last.report.phases)
-      if (p.kind != obs::PhaseKind::ShardScan) serial.push_back(&p);
-    std::sort(serial.begin(), serial.end(),
-              [](const obs::PhaseTotal* a, const obs::PhaseTotal* b) {
-                return a->wall_ns > b->wall_ns;
-              });
-    if (serial.size() > top) serial.resize(top);
-    for (std::size_t i = 0; i < serial.size(); ++i)
-      js << (i ? "," : "") << "{\"kind\":\""
-         << phase_kind_name(serial[i]->kind) << "\",\"label\":\""
-         << obs::json_escape(serial[i]->label)
-         << "\",\"wall_ns\":" << serial[i]->wall_ns << "}";
-    js << "]}";
+       << ",\"nodes\":" << nodes << ",\"launches\":" << st.launches
+       << ",\"dep_edges\":" << st.dep_edges
+       << ",\"analysis_wall_s\":" << obs::json_number(st.analysis_wall_s)
+       << ",\"structure\":" << profiler.structure_json()
+       << ",\"timing\":" << profiler.timing_json(wall_ns) << "}";
     std::ofstream out(json_path);
     out << js.str() << "\n";
     if (out) std::printf("profile report written to %s\n", json_path.c_str());
@@ -1187,10 +953,6 @@ int run_serve(std::vector<std::string> args) {
         return 2;
       }
       session.subject = *engine;
-    } else if (arg == "--threads") {
-      session.analysis_threads = static_cast<unsigned>(next());
-    } else if (arg == "--shard-batch") {
-      session.shard_batch = static_cast<std::size_t>(next());
     } else if (arg == "--max-resident-launches") {
       session.max_resident_launches = static_cast<std::size_t>(next());
     } else if (arg == "--max-history-depth") {

@@ -2,19 +2,15 @@
 //
 // A chunked bump (arena) allocator for the analysis hot path.  The
 // dependence-analysis loops allocate many short-lived, similarly-sized
-// records per launch — dependence-edge predecessor lists, per-shard
-// reduction buffers, per-launch scratch — and the general-purpose
+// records per launch — dependence-edge predecessor lists, per-launch
+// scratch — and the general-purpose
 // allocator charges a lock or a CAS per call for them.  An Arena trades
 // individual deallocation away: alloc() is a pointer bump, reset()
 // reclaims everything at once while *retaining* the chunks, so a
 // steady-state consumer (one launch after another, one retirement epoch
 // after another) stops calling malloc entirely.
 //
-// Concurrency contract: an Arena is single-owner.  Parallel consumers use
-// one arena per worker (or allocate on the submitting thread before the
-// fork and hand workers disjoint spans); the executor's fork/join
-// discipline makes either pattern race-free.  arena_test exercises the
-// per-worker pattern under ThreadSanitizer.
+// Concurrency contract: an Arena is single-owner.
 //
 // Safety rails:
 //   - reset() runs no destructors: make()/make_span() are restricted to
@@ -139,6 +135,8 @@ public:
   void reset() {
     for (Chunk& c : chunks_) {
 #if !defined(NDEBUG)
+      // Alignment padding between allocations is still ASan-poisoned.
+      unpoison(c.data.get(), c.used);
       std::memset(c.data.get(), 0xDD, c.used);
 #endif
       poison(c.data.get(), c.size);

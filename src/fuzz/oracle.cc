@@ -82,8 +82,6 @@ private:
     config.enable_tracing = spec.tracing;
     config.track_values = true;
     config.record_launches = true; // the spy verifier reads the launch log
-    config.analysis_threads = spec.analysis_threads;
-    config.shard_batch = spec.shard_batch;
     config.machine.num_nodes = spec.num_nodes;
     config.provenance = provenance;
     config.telemetry = telemetry;
@@ -175,7 +173,7 @@ private:
     result.dep_edges = runtime->dep_graph().edge_count();
     result.traced_launches = runtime->traced_launches();
 
-    // Structural fingerprints for the cross-thread-count and streaming
+    // Structural fingerprints for the cross-commit golden and streaming
     // equivalence tests: the dependence DAG (per-launch predecessor lists)
     // and the replayed DES schedule (finish time of each execution op).
     // Both are rolling folds maintained by the dep graph / runtime, so
@@ -220,9 +218,6 @@ RunResult run_program(const ProgramSpec& spec) {
 LiveRun run_program_live(const ProgramSpec& spec,
                          const LiveRunOptions& options) {
   ProgramSpec adjusted = spec;
-  if (options.analysis_threads != 0)
-    adjusted.analysis_threads = options.analysis_threads;
-  if (options.shard_batch != 0) adjusted.shard_batch = options.shard_batch;
   if (options.subject.has_value()) adjusted.subject = *options.subject;
   Execution exec;
   exec.provenance = options.provenance;
@@ -326,8 +321,6 @@ DiffReport check_program(const ProgramSpec& spec) {
   ref_spec.dcr = false;
   ref_spec.tracing = false;
   ref_spec.tuning = EngineTuning{};
-  ref_spec.analysis_threads = 1;
-  ref_spec.shard_batch = 0;
   RunResult ref = run_program(ref_spec);
   if (ref.crashed)
     return {FailureKind::Crash, "reference engine: " + ref.crash_message};

@@ -67,11 +67,10 @@ struct RunResult {
   std::size_t dep_edges = 0;
   std::size_t traced_launches = 0;
   /// FNV fingerprint of the dependence DAG (per-launch predecessor lists).
-  /// Runs of the same spec at different analysis_threads must agree — the
-  /// parallel-equivalence tests compare these across thread counts.
+  /// tests/analysis_golden_test.cpp pins these across commits.
   std::uint64_t dep_graph_hash = 0;
   /// FNV fingerprint of the replayed DES schedule (the finish time of
-  /// every launch's execution op).  Also thread-count invariant.
+  /// every launch's execution op).
   std::uint64_t schedule_hash = 0;
 };
 
@@ -87,14 +86,9 @@ struct LiveRunOptions {
   /// ledger (inert when the build has VISRT_PROVENANCE off).
   bool provenance = true;
   bool telemetry = false;
-  /// Enable the analysis profiler (phase attribution, executor/lock
-  /// telemetry; inert when the build has VISRT_PROFILE off).
+  /// Enable the analysis profiler (phase attribution; inert when the
+  /// build has VISRT_PROFILE off).
   bool profile = false;
-  /// Override the spec's analysis_threads when nonzero.
-  unsigned analysis_threads = 0;
-  /// Override the spec's shard_batch when nonzero (RuntimeConfig docs the
-  /// semantics: 1 = finest sharding, larger-than-work = inline).
-  std::size_t shard_batch = 0;
   /// Override the spec's subject engine.
   std::optional<Algorithm> subject;
   /// Streaming ingest: call Runtime::retire(max_dead_eqsets) after every

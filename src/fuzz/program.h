@@ -118,14 +118,6 @@ struct ProgramSpec {
   bool tracing = true;
   Algorithm subject = Algorithm::RayCast; ///< engine under test
   EngineTuning tuning;
-  /// Analysis worker lanes for the subject engine (the reference oracle
-  /// always runs sequentially); serialized as an optional `threads N`
-  /// directive so existing corpora parse unchanged.
-  unsigned analysis_threads = 1;
-  /// Shard batch granularity override (RuntimeConfig::shard_batch; 0 keeps
-  /// each loop's default grain); serialized as an optional `shard_batch N`
-  /// directive so existing corpora parse unchanged.
-  std::size_t shard_batch = 0;
 
   // --- structure ---
   std::vector<TreeSpec> trees;

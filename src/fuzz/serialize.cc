@@ -185,16 +185,6 @@ VisprogStatement parse_statement(const std::vector<std::string>& toks,
         parse_bool(expect_kv(toks[4], "kdfallback"));
     st.tuning.inject_paint_reduce_bug =
         parse_bool(expect_kv(toks[5], "paintbug"));
-  } else if (head == "threads") {
-    require(toks.size() == 2, "visprog: threads takes a lane count");
-    st.kind = VisprogStatement::Kind::Threads;
-    st.analysis_threads = static_cast<unsigned>(parse_u64(toks[1]));
-    require(st.analysis_threads >= 1, "visprog: threads must be >= 1");
-  } else if (head == "shard_batch") {
-    require(toks.size() == 2, "visprog: shard_batch takes a granularity");
-    st.kind = VisprogStatement::Kind::ShardBatch;
-    st.shard_batch = static_cast<std::size_t>(parse_u64(toks[1]));
-    require(st.shard_batch >= 1, "visprog: shard_batch must be >= 1");
   } else if (head == "tree") {
     require(toks.size() == 3, "visprog: tree takes a name and a size");
     st.kind = VisprogStatement::Kind::Tree;
@@ -270,10 +260,6 @@ void write_visprog(std::ostream& os, const ProgramSpec& spec) {
      << " domwrites=" << (t.raycast_dominating_writes ? 1 : 0)
      << " kdfallback=" << (t.raycast_force_kd_fallback ? 1 : 0)
      << " paintbug=" << (t.inject_paint_reduce_bug ? 1 : 0) << "\n";
-  if (spec.analysis_threads != 1)
-    os << "threads " << spec.analysis_threads << "\n";
-  if (spec.shard_batch != 0)
-    os << "shard_batch " << spec.shard_batch << "\n";
   for (const TreeSpec& tree : spec.trees)
     os << "tree " << tree.name << " " << tree.size << "\n";
   for (const PartitionSpec& part : spec.partitions) {
@@ -337,12 +323,6 @@ void apply_statement(ProgramSpec& spec, const VisprogStatement& st) {
     spec.subject = st.subject;
     break;
   case VisprogStatement::Kind::Tuning: spec.tuning = st.tuning; break;
-  case VisprogStatement::Kind::Threads:
-    spec.analysis_threads = st.analysis_threads;
-    break;
-  case VisprogStatement::Kind::ShardBatch:
-    spec.shard_batch = st.shard_batch;
-    break;
   case VisprogStatement::Kind::Tree: spec.trees.push_back(st.tree); break;
   case VisprogStatement::Kind::Partition:
     spec.partitions.push_back(st.partition);

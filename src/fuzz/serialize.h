@@ -53,8 +53,6 @@ struct VisprogStatement {
     Header,    ///< the `visprog 1` document header
     Config,    ///< nodes / dcr / tracing / subject
     Tuning,    ///< the five EngineTuning knobs
-    Threads,   ///< analysis lane count
-    ShardBatch, ///< shard batch granularity override
     Tree,      ///< region-tree declaration
     Partition, ///< partition declaration
     Field,     ///< field declaration
@@ -66,8 +64,6 @@ struct VisprogStatement {
   bool tracing = true;         ///< Config
   Algorithm subject = Algorithm::RayCast; ///< Config
   EngineTuning tuning;         ///< Tuning
-  unsigned analysis_threads = 1; ///< Threads
-  std::size_t shard_batch = 0;   ///< ShardBatch
   TreeSpec tree;               ///< Tree
   PartitionSpec partition;     ///< Partition
   FieldSpec field;             ///< Field

@@ -17,15 +17,9 @@ const char* lifecycle_event_kind_name(LifecycleEventKind kind) {
   return "?";
 }
 
-void LifecycleLedger::enable() {
-  std::lock_guard<std::mutex> lock(mu_);
-  enabled_ = true;
-}
-
 void LifecycleLedger::record(LifecycleEventKind kind, LaunchID launch,
                              FieldID field, EqSetID eqset, EqSetID parent,
                              NodeID owner, std::uint64_t live_after) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (!enabled_) return;
   PerField& pf = fields_[field];
   LifecycleEvent ev;
@@ -53,21 +47,18 @@ void LifecycleLedger::record(LifecycleEventKind kind, LaunchID launch,
 }
 
 std::vector<FieldID> LifecycleLedger::fields() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<FieldID> out;
   for (const auto& [field, pf] : fields_) out.push_back(field);
   return out;
 }
 
 std::vector<LifecycleEvent> LifecycleLedger::events(FieldID field) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = fields_.find(field);
   return it == fields_.end() ? std::vector<LifecycleEvent>{}
                              : it->second.events;
 }
 
 std::size_t LifecycleLedger::event_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::size_t n = 0;
   for (const auto& [field, pf] : fields_) n += pf.events.size();
   return n;
@@ -101,14 +92,12 @@ void summary_json(std::ostringstream& os, const LifecycleSummary& s) {
 } // namespace
 
 LifecycleSummary LifecycleLedger::summary(FieldID field) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = fields_.find(field);
   if (it == fields_.end()) return {};
   return summarize(it->second.events, it->second.peak_live);
 }
 
 LifecycleSummary LifecycleLedger::total() const {
-  std::lock_guard<std::mutex> lock(mu_);
   LifecycleSummary t;
   for (const auto& [field, pf] : fields_) {
     LifecycleSummary s = summarize(pf.events, pf.peak_live);
@@ -123,7 +112,6 @@ LifecycleSummary LifecycleLedger::total() const {
 }
 
 std::string LifecycleLedger::json() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::ostringstream os;
   LifecycleSummary t;
   for (const auto& [field, pf] : fields_) {

@@ -7,13 +7,10 @@
 // captures and replications — stamped on the launch clock with the
 // owning node, the refined parent and the resulting live-set count.
 //
-// Determinism contract: engines record events only from their sequential
-// canonical-order merge loops, so within one field the event sequence is
-// bit-identical across `analysis_threads`.  Different *fields* of one
-// launch may be analyzed concurrently, so the ledger keeps one event
-// vector per field behind a mutex and every exporter walks fields in
-// sorted order — the exported JSON and Perfetto tracks are therefore
-// bit-identical across thread counts too (tests/lifecycle_test.cpp).
+// Determinism contract: the ledger keeps one event vector per field, in
+// record order, and every exporter walks fields in sorted order, so the
+// exported JSON and Perfetto tracks are a pure function of the program
+// (tests/analysis_golden_test.cpp pins them).
 //
 // Compiled out entirely with -DVISRT_PROVENANCE=OFF (see provenance.h);
 // when compiled in, a disabled ledger costs one branch per event site.
@@ -21,7 +18,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -74,11 +70,11 @@ struct LifecycleSummary {
 class LifecycleLedger {
 public:
 #if VISRT_PROVENANCE
-  void enable();
+  void enable() { enabled_ = true; }
   bool enabled() const { return enabled_; }
 
   /// Record one event; `depth` of the event is derived from
-  /// `parent` (kNoEqSetID parent => depth 0).  Thread-safe across fields.
+  /// `parent` (kNoEqSetID parent => depth 0).
   void record(LifecycleEventKind kind, LaunchID launch, FieldID field,
               EqSetID eqset, EqSetID parent, NodeID owner,
               std::uint64_t live_after);
@@ -114,7 +110,6 @@ private:
     std::uint64_t peak_live = 0;
   };
 
-  mutable std::mutex mu_;
   bool enabled_ = false;
   std::map<FieldID, PerField> fields_;
 };

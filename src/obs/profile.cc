@@ -3,245 +3,81 @@
 #if VISRT_PROFILE
 
 #include <algorithm>
-#include <ostream>
 #include <sstream>
 
 #include "obs/metrics.h"
 
 namespace visrt::obs {
 
-PhaseTotal& Profiler::phase_slot_locked(PhaseKind kind,
-                                        std::string_view label) {
-  // Keyed by label alone: a label always carries one kind (the call sites
-  // are literals), so the composite key would only duplicate bytes.
+PhaseTotal& Profiler::phase_slot(std::string_view label) {
   auto it = phase_ids_.find(std::string(label));
   if (it != phase_ids_.end()) return phases_[it->second];
   std::size_t id = phases_.size();
   PhaseTotal t;
-  t.kind = kind;
   t.label.assign(label);
   phases_.push_back(std::move(t));
   phase_ids_.emplace(std::string(label), id);
   return phases_[id];
 }
 
-void Profiler::add_lock(std::string name, const TimedMutex* mu) {
-  locks_.emplace_back(std::move(name), mu);
+std::vector<PhaseTotal> Profiler::sorted_phases() const {
+  std::vector<PhaseTotal> phases = phases_;
+  std::sort(phases.begin(), phases.end(),
+            [](const PhaseTotal& a, const PhaseTotal& b) {
+              return a.label < b.label;
+            });
+  return phases;
 }
 
 ProfileReport Profiler::report(std::uint64_t analysis_wall_ns) const {
   ProfileReport r;
   r.wall_ns = analysis_wall_ns;
-  {
-    std::lock_guard<TimedMutex> lock(phase_mu_);
-    r.phases = phases_;
-  }
-  // Deterministic order: kind, then label.  Insertion order depends on
-  // which thread created a slot first.
-  std::sort(r.phases.begin(), r.phases.end(),
-            [](const PhaseTotal& a, const PhaseTotal& b) {
-              if (a.kind != b.kind) return a.kind < b.kind;
-              return a.label < b.label;
-            });
-  for (const PhaseTotal& p : r.phases) {
-    switch (p.kind) {
-    case PhaseKind::ShardScan: r.parallel_ns += p.wall_ns; break;
-    case PhaseKind::Merge: r.merge_ns += p.wall_ns; break;
-    case PhaseKind::Provenance: r.provenance_ns += p.wall_ns; break;
-    case PhaseKind::Combine: r.combine_ns += p.wall_ns; break;
-    case PhaseKind::Other: r.other_ns += p.wall_ns; break;
-    }
-  }
-  const std::uint64_t serial_ns =
-      r.merge_ns + r.provenance_ns + r.combine_ns + r.other_ns;
-  const std::uint64_t attributed = r.parallel_ns + serial_ns;
+  r.phases = sorted_phases();
+  std::uint64_t attributed = 0;
+  for (const PhaseTotal& p : r.phases) attributed += p.wall_ns;
   r.unattributed_ns =
       analysis_wall_ns > attributed ? analysis_wall_ns - attributed : 0;
   r.coverage = analysis_wall_ns > 0
                    ? static_cast<double>(attributed) /
                          static_cast<double>(analysis_wall_ns)
                    : 0.0;
-  // Serial fraction over the attributed+unattributed total: phases on
-  // concurrent field groups can overlap, so sums may exceed the measured
-  // wall; normalizing by the same sum keeps the fraction in [0, 1].
-  // Unattributed time is charged as serial (it is the sequential glue of
-  // launch() between the instrumented sections) — conservative for the
-  // Amdahl bound.
-  const std::uint64_t denom = attributed + r.unattributed_ns;
-  r.serial_fraction =
-      denom > 0
-          ? static_cast<double>(serial_ns + r.unattributed_ns) /
-                static_cast<double>(denom)
-          : 0.0;
-  r.amdahl_max_speedup =
-      r.serial_fraction > 0 ? 1.0 / r.serial_fraction : 0.0;
-  for (unsigned lane = 0; lane < kMaxLanes; ++lane) {
-    const Lane& ln = lanes_[lane];
-    WorkerTotal w;
-    w.tasks = ln.tasks.load(std::memory_order_relaxed);
-    w.busy_ns = ln.busy_ns.load(std::memory_order_relaxed);
-    r.workers.push_back(w);
-  }
-  while (!r.workers.empty() && r.workers.back().tasks == 0)
-    r.workers.pop_back();
-  r.groups = groups_.load(std::memory_order_relaxed);
-  r.group_tasks = group_tasks_.load(std::memory_order_relaxed);
-  r.group_wall_ns = group_wall_ns_.load(std::memory_order_relaxed);
-  r.group_max_ns = group_max_ns_.load(std::memory_order_relaxed);
-  r.group_task_ns = group_task_ns_.load(std::memory_order_relaxed);
-  // Critical-path estimate: replace every fork/join group's elapsed time
-  // with its longest single task — what a perfectly load-balanced,
-  // zero-overhead pool would pay — and keep everything else as measured.
-  const std::uint64_t collapsed =
-      analysis_wall_ns > r.group_wall_ns
-          ? analysis_wall_ns - r.group_wall_ns + r.group_max_ns
-          : r.group_max_ns;
-  r.critical_path_ns = collapsed;
-  r.locks.emplace_back("profiler.phases", phase_mu_.stats());
-  for (const auto& [name, mu] : locks_)
-    r.locks.emplace_back(name, mu->stats());
-  r.events_dropped = events_dropped_.load(std::memory_order_relaxed);
   return r;
 }
 
 std::string Profiler::structure_json() const {
-  // Only thread-count-invariant fields: phase kinds, labels and event
-  // counts.  Every instrumentation site runs a fixed number of times per
-  // requirement regardless of sharding, so this half is byte-identical
-  // across --threads (profile_test pins it).
-  std::vector<PhaseTotal> phases;
-  {
-    std::lock_guard<TimedMutex> lock(phase_mu_);
-    phases = phases_;
-  }
-  std::sort(phases.begin(), phases.end(),
-            [](const PhaseTotal& a, const PhaseTotal& b) {
-              if (a.kind != b.kind) return a.kind < b.kind;
-              return a.label < b.label;
-            });
+  const std::vector<PhaseTotal> phases = sorted_phases();
   std::ostringstream os;
   os << "{\"phases\":[";
   for (std::size_t i = 0; i < phases.size(); ++i) {
     if (i != 0) os << ",";
-    os << "{\"kind\":\"" << phase_kind_name(phases[i].kind)
-       << "\",\"label\":\"" << json_escape(phases[i].label)
+    os << "{\"label\":\"" << json_escape(phases[i].label)
        << "\",\"events\":" << phases[i].events << "}";
   }
   os << "]}";
   return os.str();
 }
 
-std::string Profiler::timing_json(std::uint64_t analysis_wall_ns,
-                                  unsigned threads) const {
+std::string Profiler::timing_json(std::uint64_t analysis_wall_ns) const {
   const ProfileReport r = report(analysis_wall_ns);
   std::ostringstream os;
-  os << "{\"threads\":" << threads << ",\"wall_ns\":" << r.wall_ns
-     << ",\"parallel_ns\":" << r.parallel_ns
-     << ",\"merge_ns\":" << r.merge_ns
-     << ",\"provenance_ns\":" << r.provenance_ns
-     << ",\"combine_ns\":" << r.combine_ns
-     << ",\"other_ns\":" << r.other_ns
+  os << "{\"wall_ns\":" << r.wall_ns
      << ",\"unattributed_ns\":" << r.unattributed_ns
-     << ",\"coverage\":" << json_number(r.coverage)
-     << ",\"serial_fraction\":" << json_number(r.serial_fraction)
-     << ",\"amdahl_max_speedup\":" << json_number(r.amdahl_max_speedup)
-     << ",\"critical_path_ns\":" << r.critical_path_ns;
-  os << ",\"phases\":[";
+     << ",\"coverage\":" << json_number(r.coverage) << ",\"phases\":[";
   for (std::size_t i = 0; i < r.phases.size(); ++i) {
     if (i != 0) os << ",";
     os << "{\"label\":\"" << json_escape(r.phases[i].label)
        << "\",\"wall_ns\":" << r.phases[i].wall_ns << "}";
   }
-  os << "],\"workers\":[";
-  for (std::size_t i = 0; i < r.workers.size(); ++i) {
-    if (i != 0) os << ",";
-    os << "{\"lane\":" << i << ",\"tasks\":" << r.workers[i].tasks
-       << ",\"busy_ns\":" << r.workers[i].busy_ns << "}";
-  }
-  os << "],\"groups\":{\"count\":" << r.groups
-     << ",\"tasks\":" << r.group_tasks << ",\"wall_ns\":" << r.group_wall_ns
-     << ",\"max_task_ns\":" << r.group_max_ns
-     << ",\"task_ns\":" << r.group_task_ns << "}";
-  os << ",\"locks\":[";
-  for (std::size_t i = 0; i < r.locks.size(); ++i) {
-    const auto& [name, s] = r.locks[i];
-    if (i != 0) os << ",";
-    os << "{\"name\":\"" << json_escape(name)
-       << "\",\"acquisitions\":" << s.acquisitions
-       << ",\"contended\":" << s.contended
-       << ",\"wait_total_ns\":" << s.wait_total_ns
-       << ",\"wait_max_ns\":" << s.wait_max_ns << "}";
-  }
-  os << "],\"events_dropped\":" << r.events_dropped << "}";
+  os << "]}";
   return os.str();
 }
 
-std::string Profiler::json(std::uint64_t analysis_wall_ns,
-                           unsigned threads) const {
+std::string Profiler::json(std::uint64_t analysis_wall_ns) const {
   std::ostringstream os;
   os << "{\"schema_version\":1,\"enabled\":" << (enabled_ ? "true" : "false")
      << ",\"structure\":" << structure_json()
-     << ",\"timing\":" << timing_json(analysis_wall_ns, threads) << "}";
+     << ",\"timing\":" << timing_json(analysis_wall_ns) << "}";
   return os.str();
-}
-
-void Profiler::write_chrome_trace(std::ostream& os) const {
-  // One synthetic process for the analysis pool: tid = lane.  Timestamps
-  // are wall-clock microseconds relative to the earliest recorded event,
-  // so the trace starts at t=0 like the simulator traces do.
-  constexpr std::uint32_t kPid = 9999;
-  std::uint64_t t0 = ~std::uint64_t{0};
-  for (unsigned lane = 0; lane < kMaxLanes; ++lane) {
-    for (const TaskEvent& e : lanes_[lane].events)
-      t0 = std::min(t0, e.begin_ns);
-  }
-  for (const auto& [name, mu] : locks_) {
-    for (const ContentionSample& s : mu->samples())
-      t0 = std::min(t0, s.at_ns);
-  }
-  if (t0 == ~std::uint64_t{0}) t0 = 0;
-  auto us = [&](std::uint64_t ns) {
-    return static_cast<double>(ns - t0) / 1000.0;
-  };
-  os << "[";
-  bool first = true;
-  auto sep = [&] {
-    if (!first) os << ",\n";
-    first = false;
-  };
-  sep();
-  os << "{\"ph\":\"M\",\"pid\":" << kPid
-     << ",\"name\":\"process_name\",\"args\":{\"name\":\"analysis "
-        "profiler\"}}";
-  for (unsigned lane = 0; lane < kMaxLanes; ++lane) {
-    const Lane& ln = lanes_[lane];
-    if (ln.events.empty()) continue;
-    sep();
-    os << "{\"ph\":\"M\",\"pid\":" << kPid << ",\"tid\":" << lane
-       << ",\"name\":\"thread_name\",\"args\":{\"name\":\"lane "
-       << lane << (lane == 0 ? " (submitter)" : "") << "\"}}";
-    for (const TaskEvent& e : ln.events) {
-      sep();
-      os << "{\"ph\":\"X\",\"pid\":" << kPid << ",\"tid\":" << lane
-         << ",\"ts\":" << json_number(us(e.begin_ns))
-         << ",\"dur\":" << json_number(us(e.end_ns) - us(e.begin_ns))
-         << ",\"name\":\"shard\",\"args\":{\"launch\":" << e.launch
-         << ",\"field\":" << e.field << ",\"shard\":" << e.shard << "}}";
-    }
-  }
-  // Cumulative lock-wait counter tracks (one per registered TimedMutex).
-  for (const auto& [name, mu] : locks_) {
-    std::uint64_t total = 0;
-    for (const ContentionSample& s : mu->samples()) {
-      total += s.wait_ns;
-      sep();
-      os << "{\"ph\":\"C\",\"pid\":" << kPid << ",\"ts\":"
-         << json_number(us(s.at_ns)) << ",\"name\":\"lock_wait_ns/"
-         << json_escape(name) << "\",\"args\":{\"wait_ns\":"
-         << total << "}}";
-    }
-  }
-  os << "]\n";
 }
 
 } // namespace visrt::obs

@@ -1,54 +1,32 @@
 // visrt/obs/profile.h
 //
-// The contention-aware analysis profiler: a low-overhead layer threaded
-// through the Executor, the Recorder, the runtime and every engine's
-// merge loops, recording the evidence the executor-scaling work needs
-// (docs/PERFORMANCE.md documents the negative fig13 scaling it exists to
-// explain):
-//
-//   - Per-worker utilization: shard-task begin/end events (launch, field,
-//     shard index) plus per-lane busy totals, emitted by Executor::run_some.
-//   - Lock contention: TimedMutex wraps the serialization points (the
-//     Recorder series lock, the executor queue) and counts acquisitions,
-//     contended acquisitions and total/max wait time.
-//   - Phase attribution: ScopedPhase classifies analysis wall time into
-//     parallel shard scans, sequential canonical-order merges, provenance
-//     recording and other serial work; the report derives the serial
-//     fraction, the Amdahl speedup bound and a critical-path estimate
-//     over the fork/join groups.
+// The analysis profiler: a phase ledger that attributes the analysis wall
+// time of a Runtime to named sites.  The runtime and every engine wrap
+// their sections in ScopedPhase(profiler, label); the report sums each
+// label's events and wall time and derives how much of the measured
+// analysis wall the ledger covers.
 //
 // Report determinism contract: the `structure` half of the JSON report
-// (phase names, kinds and event counts) is byte-identical across
-// --threads because every instrumentation site executes a thread-count-
-// independent number of times; the `timing` half (nanoseconds, worker
-// lanes, groups, locks) depends on the host and thread count and is
-// excluded from golden comparisons.
+// (phase labels and event counts) is a pure function of the program,
+// because every instrumentation site executes a fixed number of times per
+// requirement; the `timing` half (nanoseconds, coverage) depends on the
+// host and is excluded from golden comparisons.
 //
-// With -DVISRT_PROFILE=OFF every class below compiles to an empty stub:
-// no members beyond the raw mutex, no timing calls, no symbols in the
-// binary (the CI provenance-off job asserts this with `nm`).
-//
-// Layering: visrt_common (the Executor) sits *below* visrt_obs, so every
-// hook the executor calls — TimedMutex lock/unlock, task_event,
-// group_complete — is header-inline here; only the cold report/JSON
-// builders live in profile.cc.
+// With -DVISRT_PROFILE=OFF the Profiler compiles to an empty stub: no
+// timing calls, no symbols in the binary (the CI provenance-off job
+// asserts this with `nm`).
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <utility>
 #include <vector>
-
-#include "common/types.h"
 
 #ifndef VISRT_PROFILE
 #define VISRT_PROFILE 1
@@ -80,8 +58,8 @@ inline std::uint64_t next_per_thread_uid() {
 /// be revived by allocator address reuse.  for_each visits every slot
 /// ever created; synchronizing with the writing threads (join them first)
 /// is the caller's job.  Memory: one cache entry per (thread, registry)
-/// pair ever paired — bounded by design in visrt (one registry per
-/// Recorder, threads live inside one Executor).
+/// pair ever paired — bounded by design in visrt (the flight recorder's
+/// one process-wide registry, written by the server's threads).
 template <typename T>
 class PerThread {
 public:
@@ -127,340 +105,98 @@ private:
   std::vector<std::unique_ptr<T>> slots_;
 };
 
-/// Identity of the work a fork/join group shards: the launch and field
-/// whose analysis is being scanned.  Attached to task begin/end events.
-struct TaskTag {
-  LaunchID launch = kInvalidLaunch;
-  FieldID field = std::numeric_limits<FieldID>::max();
-};
-
-/// Cumulative contention counters of one TimedMutex.
-struct ContentionStats {
-  std::uint64_t acquisitions = 0; ///< successful lock()/try_lock() calls
-  std::uint64_t contended = 0;    ///< lock() calls that had to wait
-  std::uint64_t wait_total_ns = 0;
-  std::uint64_t wait_max_ns = 0;
-};
-
-/// One contended acquisition, for the contention counter tracks of the
-/// profile trace (at_ns is the wall time the wait started).
-struct ContentionSample {
-  std::uint64_t at_ns = 0;
-  std::uint64_t wait_ns = 0;
-};
-
-/// How a phase's wall time scales: ShardScan work spreads across the
-/// executor; everything else serializes on the calling thread.  Merge is
-/// called out separately because the canonical-order merge loops are the
-/// determinism contract's mandatory serial section; Combine is the new,
-/// slimmer flavor of that section — the index-order fold of per-shard
-/// reduction buffers after the parallel scan (what remains serial once
-/// the heavy per-requirement work moved into the shards); Provenance
-/// because the ISSUE-6 attribution asks for it by name.
-enum class PhaseKind : std::uint8_t {
-  ShardScan = 0,
-  Merge,
-  Provenance,
-  Combine,
-  Other,
-};
-
-inline const char* phase_kind_name(PhaseKind kind) {
-  switch (kind) {
-  case PhaseKind::ShardScan: return "shard_scan";
-  case PhaseKind::Merge: return "merge";
-  case PhaseKind::Provenance: return "provenance";
-  case PhaseKind::Combine: return "combine";
-  case PhaseKind::Other: return "other";
-  }
-  return "?";
-}
-
-/// Aggregated wall time of one instrumentation site (kind + label).
+/// Aggregated wall time of one instrumentation site.
 struct PhaseTotal {
-  PhaseKind kind = PhaseKind::Other;
   std::string label;
-  std::uint64_t events = 0;  ///< thread-count invariant (structure field)
-  std::uint64_t wall_ns = 0; ///< host/thread dependent (timing field)
+  std::uint64_t events = 0;  ///< program-determined (structure field)
+  std::uint64_t wall_ns = 0; ///< host dependent (timing field)
 };
 
-/// Per-lane utilization totals (lane 0 is the submitting thread).
-struct WorkerTotal {
-  std::uint64_t tasks = 0;
-  std::uint64_t busy_ns = 0;
-};
-
-/// One shard-task execution on a worker lane.
-struct TaskEvent {
-  std::uint64_t begin_ns = 0;
-  std::uint64_t end_ns = 0;
-  LaunchID launch = kInvalidLaunch;
-  FieldID field = 0;
-  std::uint32_t shard = 0;
-};
-
-/// Everything the cold report builders derive; see profile.cc for the
-/// formulas.  Populated (and meaningful) only when the profiler ran.
+/// What the report builder derives; populated only when the profiler ran.
 struct ProfileReport {
-  std::uint64_t wall_ns = 0;        ///< measured analysis wall time
-  std::uint64_t parallel_ns = 0;    ///< ShardScan phases
-  std::uint64_t merge_ns = 0;       ///< Merge phases
-  std::uint64_t provenance_ns = 0;  ///< Provenance phases
-  std::uint64_t combine_ns = 0;     ///< Combine phases (reduction folds)
-  std::uint64_t other_ns = 0;       ///< Other phases
-  std::uint64_t unattributed_ns = 0;
-  double coverage = 0;          ///< attributed / wall
-  double serial_fraction = 0;   ///< (serial + unattributed) share
-  double amdahl_max_speedup = 0;
-  std::uint64_t critical_path_ns = 0;
-  std::vector<PhaseTotal> phases; ///< sorted by (kind, label)
-  std::vector<WorkerTotal> workers;
-  std::uint64_t groups = 0;
-  std::uint64_t group_tasks = 0;
-  std::uint64_t group_wall_ns = 0;
-  std::uint64_t group_max_ns = 0; ///< sum over groups of the longest task
-  std::uint64_t group_task_ns = 0;
-  std::vector<std::pair<std::string, ContentionStats>> locks;
-  std::uint64_t events_dropped = 0;
+  std::uint64_t wall_ns = 0;         ///< measured analysis wall time
+  std::uint64_t unattributed_ns = 0; ///< wall not covered by any phase
+  double coverage = 0;               ///< attributed / wall
+  std::vector<PhaseTotal> phases;    ///< sorted by label
 };
 
 #if VISRT_PROFILE
 
-/// A std::mutex that counts acquisitions and contended waits.  The fast
-/// path is one relaxed increment plus try_lock; only a *contended*
-/// acquisition pays two clock reads.  Contended acquisitions are also
-/// appended (bounded, while already holding the lock) to a sample ring
-/// for the profile trace's contention counter tracks.  Satisfies
-/// BasicLockable, so lock_guard/unique_lock/condition_variable_any work.
-class TimedMutex {
-public:
-  void lock() {
-    acquisitions_.fetch_add(1, std::memory_order_relaxed);
-    if (mu_.try_lock()) return;
-    const std::uint64_t t0 = prof_now_ns();
-    mu_.lock();
-    const std::uint64_t waited = prof_now_ns() - t0;
-    contended_.fetch_add(1, std::memory_order_relaxed);
-    wait_total_.fetch_add(waited, std::memory_order_relaxed);
-    std::uint64_t prev = wait_max_.load(std::memory_order_relaxed);
-    while (waited > prev &&
-           !wait_max_.compare_exchange_weak(prev, waited,
-                                            std::memory_order_relaxed)) {
-    }
-    if (samples_.size() < kMaxSamples)
-      samples_.push_back(ContentionSample{t0, waited});
-  }
-
-  bool try_lock() {
-    if (!mu_.try_lock()) return false;
-    acquisitions_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-
-  void unlock() { mu_.unlock(); }
-
-  ContentionStats stats() const {
-    ContentionStats s;
-    s.acquisitions = acquisitions_.load(std::memory_order_relaxed);
-    s.contended = contended_.load(std::memory_order_relaxed);
-    s.wait_total_ns = wait_total_.load(std::memory_order_relaxed);
-    s.wait_max_ns = wait_max_.load(std::memory_order_relaxed);
-    return s;
-  }
-
-  /// Contended-acquisition samples; read only once the lock's users have
-  /// quiesced (post-run).
-  const std::vector<ContentionSample>& samples() const { return samples_; }
-
-  /// The underlying mutex, for condition-variable waits.  Acquisitions
-  /// made through it bypass the accounting above on purpose: a worker
-  /// blocked on "is there work?" is *idle*, not contending, and charging
-  /// those waits here would both distort the contention report and put a
-  /// condition_variable_any (with its per-wait internal locking) on the
-  /// pool's hottest path.
-  std::mutex& raw() { return mu_; }
-
-private:
-  static constexpr std::size_t kMaxSamples = 4096;
-  std::mutex mu_;
-  std::atomic<std::uint64_t> acquisitions_{0};
-  std::atomic<std::uint64_t> contended_{0};
-  std::atomic<std::uint64_t> wait_total_{0};
-  std::atomic<std::uint64_t> wait_max_{0};
-  std::vector<ContentionSample> samples_; ///< appended under mu_
-};
-
-/// The profiler.  One instance per Runtime; disabled (the default) every
-/// hook is a single branch.  enable() must precede the first hook (the
-/// runtime enables it before creating the executor).
+/// The profiler.  One instance per Runtime, used from the thread that
+/// drives it; disabled (the default) every hook is a single branch.
 class Profiler {
 public:
   bool enabled() const { return enabled_; }
   void enable() { enabled_ = true; }
 
-  /// Attribute `wall_ns` of wall time to the site (kind, label).
-  /// Callable from any thread (engines run on worker lanes).
-  void phase(PhaseKind kind, std::string_view label, std::uint64_t wall_ns) {
+  /// Attribute `wall_ns` of wall time to the site `label`.
+  void phase(std::string_view label, std::uint64_t wall_ns) {
     if (!enabled_) return;
-    phase_ns_total_.fetch_add(wall_ns, std::memory_order_relaxed);
-    std::lock_guard<TimedMutex> lock(phase_mu_);
-    PhaseTotal& t = phase_slot_locked(kind, label);
+    phase_ns_total_ += wall_ns;
+    PhaseTotal& t = phase_slot(label);
     ++t.events;
     t.wall_ns += wall_ns;
   }
 
   /// Running sum of all phase wall time recorded so far.  Snapshot before
   /// and after a section to compute its *self* time (section wall minus
-  /// the phase time its callees recorded) -- the runtime attributes its
-  /// fork/join fan-out glue this way without double-counting the engine
-  /// phases that run inside the forked bodies.
-  std::uint64_t phase_ns_snapshot() const {
-    return phase_ns_total_.load(std::memory_order_relaxed);
-  }
+  /// the phase time its callees recorded) -- the runtime attributes the
+  /// materialize/commit time outside the engines' named phases this way
+  /// without double-counting them.
+  std::uint64_t phase_ns_snapshot() const { return phase_ns_total_; }
 
-  /// One shard task ran on `lane` (0 = submitter).  Called by
-  /// Executor::run_some before the group's done-counter increment, so the
-  /// join's release/acquire chain orders these writes before any
-  /// post-join read.
-  void task_event(unsigned lane, TaskTag tag, std::uint32_t shard,
-                  std::uint64_t begin_ns, std::uint64_t end_ns) {
-    if (!enabled_) return;
-    if (lane >= kMaxLanes) {
-      events_dropped_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    Lane& ln = lanes_[lane];
-    ln.tasks.fetch_add(1, std::memory_order_relaxed);
-    ln.busy_ns.fetch_add(end_ns - begin_ns, std::memory_order_relaxed);
-    // Single writer per lane (a lane is one thread), so the event log
-    // needs no lock; bounded so long runs stay bounded.
-    if (ln.events.size() < kMaxTaskEvents) {
-      ln.events.push_back(
-          TaskEvent{begin_ns, end_ns, tag.launch, tag.field, shard});
-    } else {
-      events_dropped_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
+  // ----- cold accessors (profile.cc); call after the run.
 
-  /// One fork/join group finished: `n` tasks, `wall_ns` from submit to
-  /// join, the longest single task and the summed task time.  Called by
-  /// the submitting lane after the join.
-  void group_complete(std::uint32_t n, std::uint64_t wall_ns,
-                      std::uint64_t max_task_ns, std::uint64_t sum_task_ns) {
-    if (!enabled_) return;
-    groups_.fetch_add(1, std::memory_order_relaxed);
-    group_tasks_.fetch_add(n, std::memory_order_relaxed);
-    group_wall_ns_.fetch_add(wall_ns, std::memory_order_relaxed);
-    group_max_ns_.fetch_add(max_task_ns, std::memory_order_relaxed);
-    group_task_ns_.fetch_add(sum_task_ns, std::memory_order_relaxed);
-  }
-
-  /// Register a serialization point for contention reporting.  `mu` must
-  /// outlive the profiler's reports (both live on the Runtime).
-  void add_lock(std::string name, const TimedMutex* mu);
-
-  // ----- cold accessors (profile.cc); call after the run has quiesced.
-
-  /// Derive the full report.  `analysis_wall_ns` is the measured wall
-  /// time being attributed (RunStats::analysis_wall_s).
+  /// Derive the report.  `analysis_wall_ns` is the measured wall time
+  /// being attributed (RunStats::analysis_wall_s).
   ProfileReport report(std::uint64_t analysis_wall_ns) const;
 
-  /// Deterministic half: {"phases":[{"kind","label","events"}...]} —
-  /// byte-identical across thread counts.
+  /// Deterministic half: {"phases":[{"label","events"}...]}.
   std::string structure_json() const;
-  /// Host/thread-dependent half: phase wall times, serial fraction,
-  /// Amdahl bound, critical path, workers, groups, locks.
-  std::string timing_json(std::uint64_t analysis_wall_ns,
-                          unsigned threads) const;
+  /// Host-dependent half: wall, coverage and per-phase wall times.
+  std::string timing_json(std::uint64_t analysis_wall_ns) const;
   /// Full schema-v1 report: {"schema_version":1,"enabled":...,
   /// "structure":{...},"timing":{...}}.
-  std::string json(std::uint64_t analysis_wall_ns, unsigned threads) const;
-
-  /// Chrome-trace (Perfetto JSON array) view: one thread row per worker
-  /// lane with the shard-task events, plus one cumulative lock-wait
-  /// counter track per registered TimedMutex.  Wall-clock microseconds,
-  /// relative to the earliest event.
-  void write_chrome_trace(std::ostream& os) const;
+  std::string json(std::uint64_t analysis_wall_ns) const;
 
 private:
-  static constexpr unsigned kMaxLanes = 64;
-  static constexpr std::size_t kMaxTaskEvents = 1u << 16;
-
-  struct Lane {
-    std::atomic<std::uint64_t> tasks{0};
-    std::atomic<std::uint64_t> busy_ns{0};
-    std::vector<TaskEvent> events;
-  };
-
-  PhaseTotal& phase_slot_locked(PhaseKind kind, std::string_view label);
+  PhaseTotal& phase_slot(std::string_view label);
+  /// Phases sorted by label: the report order.
+  std::vector<PhaseTotal> sorted_phases() const;
 
   bool enabled_ = false;
-  /// Guards phases_ and phase_ids_.  A TimedMutex so the profiler's own
-  /// serialization shows up in its contention report ("profiler.phases").
-  mutable TimedMutex phase_mu_;
-  std::atomic<std::uint64_t> phase_ns_total_{0};
+  std::uint64_t phase_ns_total_ = 0;
   std::vector<PhaseTotal> phases_;
   std::unordered_map<std::string, std::size_t> phase_ids_;
-  Lane lanes_[kMaxLanes];
-  std::atomic<std::uint64_t> groups_{0};
-  std::atomic<std::uint64_t> group_tasks_{0};
-  std::atomic<std::uint64_t> group_wall_ns_{0};
-  std::atomic<std::uint64_t> group_max_ns_{0};
-  std::atomic<std::uint64_t> group_task_ns_{0};
-  std::atomic<std::uint64_t> events_dropped_{0};
-  std::vector<std::pair<std::string, const TimedMutex*>> locks_;
 };
 
 #else // !VISRT_PROFILE — constexpr stubs; no timing, no symbols.
-
-class TimedMutex {
-public:
-  void lock() { mu_.lock(); }
-  bool try_lock() { return mu_.try_lock(); }
-  void unlock() { mu_.unlock(); }
-  ContentionStats stats() const { return {}; }
-  const std::vector<ContentionSample>& samples() const {
-    static const std::vector<ContentionSample> empty;
-    return empty;
-  }
-  std::mutex& raw() { return mu_; }
-
-private:
-  std::mutex mu_;
-};
 
 class Profiler {
 public:
   constexpr bool enabled() const { return false; }
   void enable() {}
-  void phase(PhaseKind, std::string_view, std::uint64_t) {}
+  void phase(std::string_view, std::uint64_t) {}
   std::uint64_t phase_ns_snapshot() const { return 0; }
-  void task_event(unsigned, TaskTag, std::uint32_t, std::uint64_t,
-                  std::uint64_t) {}
-  void group_complete(std::uint32_t, std::uint64_t, std::uint64_t,
-                      std::uint64_t) {}
-  void add_lock(std::string, const TimedMutex*) {}
   ProfileReport report(std::uint64_t) const { return {}; }
   std::string structure_json() const { return "{\"phases\":[]}"; }
-  std::string timing_json(std::uint64_t, unsigned) const { return "{}"; }
-  std::string json(std::uint64_t, unsigned) const {
+  std::string timing_json(std::uint64_t) const { return "{}"; }
+  std::string json(std::uint64_t) const {
     return "{\"schema_version\":1,\"enabled\":false}";
   }
-  void write_chrome_trace(std::ostream&) const {}
 };
 
 #endif // VISRT_PROFILE
 
 /// RAII phase attribution: measures the enclosed scope's wall time and
-/// adds it to (kind, label).  With a null or disabled profiler (or a
-/// stubbed build) construction and destruction cost one branch each and
-/// no clock reads.
+/// adds it to `label`.  With a null or disabled profiler (or a stubbed
+/// build) construction and destruction cost one branch each and no clock
+/// reads.
 class ScopedPhase {
 public:
-  ScopedPhase(Profiler* profiler, PhaseKind kind, std::string_view label) {
+  ScopedPhase(Profiler* profiler, std::string_view label) {
     if (profiler == nullptr || !profiler->enabled()) return;
     profiler_ = profiler;
-    kind_ = kind;
     label_ = label;
     begin_ns_ = prof_now_ns();
   }
@@ -470,12 +206,11 @@ public:
 
   ~ScopedPhase() {
     if (profiler_ == nullptr) return;
-    profiler_->phase(kind_, label_, prof_now_ns() - begin_ns_);
+    profiler_->phase(label_, prof_now_ns() - begin_ns_);
   }
 
 private:
   Profiler* profiler_ = nullptr;
-  PhaseKind kind_ = PhaseKind::Other;
   std::string_view label_;
   std::uint64_t begin_ns_ = 0;
 };

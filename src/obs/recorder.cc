@@ -71,63 +71,36 @@ void Recorder::set_max_spans(std::size_t max_spans) {
 }
 
 SpanID Recorder::begin_span(SpanKind kind, std::string_view name,
-                            LaunchID launch, NodeID node,
-                            SpanID parent_hint) {
+                            LaunchID launch, NodeID node) {
   if (!enabled_) return kInvalidSpan;
-  ThreadSpans& ts = threads_.local();
-  // The stamp doubles as the span id: recorded stamps stay dense (0..N-1)
-  // because the cap check precedes assignment, so after the stamp-sorted
-  // merge a parent id is also the parent's index — exactly the old
-  // single-vector behavior.
-  const std::uint64_t stamp =
-      next_stamp_.fetch_add(1, std::memory_order_relaxed);
-  if (stamp >= max_spans_ || stamp >= kInvalidSpan) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    ts.open.emplace_back(kInvalidSpan, std::size_t{0});
+  if (spans_.size() >= max_spans_ || spans_.size() >= kInvalidSpan) {
+    ++dropped_;
+    open_.push_back(kInvalidSpan);
     return kInvalidSpan;
   }
   Span span;
   span.kind = kind;
   span.name.assign(name);
-  span.parent = ts.open.empty() ? parent_hint : ts.open.back().first;
+  span.parent = open_.empty() ? kInvalidSpan : open_.back();
   span.launch = launch;
   span.node = node;
-  span.stamp = stamp;
-  const SpanID id = static_cast<SpanID>(stamp);
-  ts.log.push_back(std::move(span));
-  ts.open.emplace_back(id, ts.log.size() - 1);
-  spans_dirty_.store(true, std::memory_order_relaxed);
+  span.stamp = spans_.size();
+  const auto id = static_cast<SpanID>(spans_.size());
+  spans_.push_back(std::move(span));
+  open_.push_back(id);
   return id;
 }
 
 void Recorder::end_span(SpanID id, const AnalysisCounters& work) {
   if (!enabled_) return;
-  ThreadSpans& ts = threads_.local();
-  invariant(!ts.open.empty(), "end_span without a matching begin_span");
-  invariant(ts.open.back().first == id, "spans must close innermost-first");
-  const std::size_t index = ts.open.back().second;
-  ts.open.pop_back();
+  invariant(!open_.empty(), "end_span without a matching begin_span");
+  invariant(open_.back() == id, "spans must close innermost-first");
+  open_.pop_back();
   if (id == kInvalidSpan) return; // dropped at the cap
-  ts.log[index].counters += work;
-  spans_dirty_.store(true, std::memory_order_relaxed);
-}
-
-void Recorder::merge_spans() const {
-  std::lock_guard<TimedMutex> lock(mu_);
-  if (!spans_dirty_.load(std::memory_order_relaxed)) return;
-  // Clear before gathering: emission racing this merge (contractually
-  // excluded, but harmless) re-dirties and the next read re-merges.
-  spans_dirty_.store(false, std::memory_order_relaxed);
-  merged_.clear();
-  threads_.for_each([&](const ThreadSpans& ts) {
-    merged_.insert(merged_.end(), ts.log.begin(), ts.log.end());
-  });
-  std::sort(merged_.begin(), merged_.end(),
-            [](const Span& a, const Span& b) { return a.stamp < b.stamp; });
+  spans_[id].counters += work;
 }
 
 std::size_t Recorder::series_id(std::string_view name) {
-  std::lock_guard<TimedMutex> lock(mu_);
   auto it = series_ids_.find(std::string(name));
   if (it != series_ids_.end()) return it->second;
   std::size_t id = series_.size();
@@ -138,7 +111,6 @@ std::size_t Recorder::series_id(std::string_view name) {
 
 void Recorder::sample(std::size_t series, LaunchID launch, double value) {
   if (!enabled_) return;
-  std::lock_guard<TimedMutex> lock(mu_);
   invariant(series < series_.size(), "sample on an unknown series");
   series_[series].push(launch, value);
 }

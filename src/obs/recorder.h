@@ -17,38 +17,20 @@
 // When the recorder is disabled (the default) every hook folds to a single
 // branch on `enabled()`: no allocation, no counter snapshots, no samples.
 //
-// Concurrency: begin_span/end_span/sample/series_id are safe to call from
-// multiple threads at once (the runtime shards a launch's analysis across
-// an Executor, so engines emit spans from worker lanes).  Span nesting is
-// tracked per thread — a worker's first span adopts the submitted
-// `parent_hint` (the enclosing Launch span) instead of whatever happens to
-// be open on another lane.  Every span carries a globally monotonic
-// `stamp` assigned at begin, so interleaved emission still serializes in a
-// well-defined order.  The read accessors (spans(), series()) are meant
-// for after the run, when no emission is in flight.
-//
-// Hot path: span emission writes only the calling thread's own buffer
-// (one atomic stamp fetch_add is the sole shared write), so worker lanes
-// never contend on a global recorder lock — the PR-4 profiler showed the
-// old single-mutex design serializing the sharded scans.  The per-thread
-// logs are merged (sorted by stamp) lazily when spans() is first read
-// after new emission; series keep a shared TimedMutex because samples are
-// per-launch (rare) and the ring/id maps want a coherent order anyway.
+// A recorder belongs to one Runtime and is written from the thread that
+// drives it; the read accessors (spans(), series()) are meant for after
+// the run.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <limits>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/types.h"
 #include "obs/counters.h"
-#include "obs/profile.h"
 
 namespace visrt::obs {
 
@@ -67,9 +49,7 @@ struct Span {
   SpanID parent = kInvalidSpan; ///< enclosing span, if any
   LaunchID launch = kInvalidLaunch;
   NodeID node = 0;              ///< analyzing node
-  /// Globally monotonic begin-order stamp (0, 1, 2, ... across all
-  /// threads); spans_[i].stamp == i by construction, which the concurrent
-  /// serialization test pins down.
+  /// Begin-order stamp: spans()[i].stamp == i.
   std::uint64_t stamp = 0;
   AnalysisCounters counters;
 };
@@ -131,62 +111,33 @@ public:
 
   /// Open a span; returns kInvalidSpan when disabled or at the span cap
   /// (end_span on the result is then a no-op, but must still be called to
-  /// balance the nesting stack).  The parent is the calling thread's
-  /// innermost open span; when the thread has none, `parent_hint` (the
-  /// span the submitting thread had open at fork time) is adopted so
-  /// worker-side spans still nest under their launch.
+  /// balance the nesting stack).  The parent is the innermost open span.
   SpanID begin_span(SpanKind kind, std::string_view name, LaunchID launch,
-                    NodeID node, SpanID parent_hint = kInvalidSpan);
-  /// Close the calling thread's innermost open span, attributing `work`
-  /// to it.
+                    NodeID node);
+  /// Close the innermost open span, attributing `work` to it.
   void end_span(SpanID id, const AnalysisCounters& work);
 
   /// Find-or-create a series.  Ids are stable for the recorder's lifetime.
   std::size_t series_id(std::string_view name);
   void sample(std::size_t series, LaunchID launch, double value);
 
-  /// All recorded spans in stamp order (spans()[i].stamp == i).  Merges
-  /// the per-thread logs on first read after new emission; like every
-  /// read accessor it requires emission to have quiesced (threads joined).
-  const std::vector<Span>& spans() const {
-    if (spans_dirty_.load(std::memory_order_relaxed)) merge_spans();
-    return merged_;
-  }
-  std::uint64_t spans_dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
+  /// All recorded spans in stamp order (spans()[i].stamp == i).
+  const std::vector<Span>& spans() const { return spans_; }
+  std::uint64_t spans_dropped() const { return dropped_; }
   std::size_t series_count() const { return series_.size(); }
   const CounterSeries& series(std::size_t id) const { return series_[id]; }
 
-  /// Contention stats source for the series/merge lock (register with a
-  /// Profiler via add_lock).
-  const TimedMutex& series_mutex() const { return mu_; }
-
 private:
-  /// One thread's slice of the span log: records in local emission order
-  /// plus the thread's open-span stack (span id, index into `log`;
-  /// id == kInvalidSpan marks a span dropped at the cap).
-  struct ThreadSpans {
-    std::vector<Span> log;
-    std::vector<std::pair<SpanID, std::size_t>> open;
-  };
-
-  void merge_spans() const;
-
   bool enabled_ = false;
   std::size_t series_capacity_ = 4096;
   std::size_t max_spans_ = 1u << 20;
-  /// Span emission is per-thread: the stamp counter is the only shared
-  /// write on the begin/end path.  A stamp is also the span's id; stamps
-  /// at or past max_spans_ are dropped, keeping recorded stamps dense.
-  PerThread<ThreadSpans> threads_;
-  std::atomic<std::uint64_t> next_stamp_{0};
-  std::atomic<std::uint64_t> dropped_{0};
-  mutable std::atomic<bool> spans_dirty_{false};
-  /// Guards series_/series_ids_ and the merged-span cache.  TimedMutex so
-  /// the remaining shared lock is visible in contention reports.
-  mutable TimedMutex mu_;
-  mutable std::vector<Span> merged_;
+  /// A span's id is its index (and stamp); spans past max_spans_ are
+  /// dropped, keeping recorded ids dense.
+  std::vector<Span> spans_;
+  /// Ids of the open spans, innermost last (kInvalidSpan marks a span
+  /// dropped at the cap).
+  std::vector<SpanID> open_;
+  std::uint64_t dropped_ = 0;
   std::vector<CounterSeries> series_;
   std::unordered_map<std::string, std::size_t> series_ids_;
 };
@@ -194,7 +145,7 @@ private:
 /// Serialize every recorded span, in stamp order, as a JSON array:
 ///   [{"stamp":0,"kind":"launch","name":...,"parent":null|id,
 ///     "launch":...,"node":...,"counters":{...nonzero only...}}, ...]
-/// Used by the metrics sink and the concurrent-emission regression test.
+/// Used by the metrics sink.
 std::string spans_json(const Recorder& recorder);
 
 /// RAII span that captures the counter delta of the code it encloses.
@@ -210,19 +161,14 @@ public:
   ScopedSpan(Recorder* recorder, SpanKind kind, std::string_view name,
              LaunchID launch, NodeID node,
              const AnalysisCounters* local = nullptr,
-             const std::vector<AnalysisStep>* steps = nullptr,
-             SpanID parent_hint = kInvalidSpan)
+             const std::vector<AnalysisStep>* steps = nullptr)
       : local_(local), steps_(steps) {
     if (recorder == nullptr || !recorder->enabled()) return;
     recorder_ = recorder;
     if (local_ != nullptr) local_begin_ = *local_;
     if (steps_ != nullptr) steps_begin_ = steps_->size();
-    id_ = recorder_->begin_span(kind, name, launch, node, parent_hint);
+    id_ = recorder_->begin_span(kind, name, launch, node);
   }
-
-  /// Id of the opened span (kInvalidSpan when disabled/dropped); pass as
-  /// parent_hint to spans opened on other lanes inside this one.
-  SpanID id() const { return id_; }
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;

@@ -28,6 +28,8 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 
 Runtime::Runtime(RuntimeConfig config) : config_(std::move(config)) {
   config_.machine.validate();
+  // Analysis runs on the calling thread (see RuntimeConfig).
+  require(config_.analysis_threads == 1, "analysis_threads must be 1");
   if (config_.order_queries) deps_.enable_order_queries();
   if (config_.telemetry) {
     recorder_.set_series_capacity(config_.telemetry_series_capacity);
@@ -37,32 +39,16 @@ Runtime::Runtime(RuntimeConfig config) : config_(std::move(config)) {
     lifecycle_.enable();
     msg_ledger_.enable(config_.machine.num_nodes);
   }
-  // Enabled before the executor exists so worker threads only ever see
-  // the profiler in its final state.
-  if (obs::kProfileEnabled && config_.profile) {
-    profiler_.enable();
-    profiler_.add_lock("recorder.series", &recorder_.series_mutex());
-  }
-  // The Reference engine is the sequential oracle every other mode is
-  // checked against; it never runs on the pool.
-  if (config_.analysis_threads > 1 &&
-      config_.algorithm != Algorithm::Reference) {
-    executor_ = std::make_unique<Executor>(config_.analysis_threads,
-                                           &profiler_);
-    if (obs::kProfileEnabled && config_.profile)
-      profiler_.add_lock("executor.queue", &executor_->queue_mutex());
-  }
+  if (obs::kProfileEnabled && config_.profile) profiler_.enable();
   EngineConfig ec;
   ec.track_values = config_.track_values;
   ec.tuning = config_.tuning;
   ec.forest = &forest_;
   ec.recorder = &recorder_;
   ec.profiler = &profiler_;
-  ec.executor = executor_.get();
   ec.provenance = obs::kProvenanceEnabled && config_.provenance;
   ec.lifecycle = ec.provenance ? &lifecycle_ : nullptr;
   ec.max_history_depth = config_.max_history_depth;
-  ec.shard_batch = config_.shard_batch;
   engine_ = make_engine(config_.algorithm, ec);
   issue_tail_.assign(config_.machine.num_nodes, sim::kInvalidOp);
   issue_tail_finish_.assign(config_.machine.num_nodes, 0);
@@ -236,8 +222,7 @@ LaunchID Runtime::launch(TaskLaunch launch) {
   for (const RegionReq& rr : launch.requirements)
     reqs.push_back(Requirement{rr.region, rr.field, rr.privilege});
 
-  // Resolve field infos once, in requirement order: the require fires
-  // deterministically before any fan-out, and the shard bodies below
+  // Resolve field infos once, in requirement order, so the loops below
   // reach their per-field InstanceMaps without a hash lookup.
   std::vector<FieldInfo*> finfos(reqs.size());
   for (std::size_t i = 0; i < reqs.size(); ++i) {
@@ -247,11 +232,9 @@ LaunchID Runtime::launch(TaskLaunch launch) {
   }
 
   // Group requirement indices by field, first-occurrence order.  Engine
-  // and instance state is strictly per field, so groups analyze
-  // concurrently on the executor; within a group, program order is
-  // preserved.  The work-graph/dep-graph combine below runs sequentially
-  // in requirement order, so the emitted graphs are identical at any
-  // thread count.
+  // and instance state is strictly per field; each group materializes and
+  // plans its copies in program order, then the work-graph/dep-graph
+  // emission below runs in requirement order.
   std::vector<std::vector<std::size_t>> field_groups;
   {
     std::unordered_map<FieldID, std::size_t> group_of;
@@ -261,58 +244,41 @@ LaunchID Runtime::launch(TaskLaunch launch) {
       field_groups[it->second].push_back(i);
     }
   }
-  // One shard task per kGroupGrain field groups (shard_batch overrides
-  // the grain): the common one/two-field launch runs inline instead of
-  // paying a fork/join per field — within-launch parallelism then comes
-  // from the engines' inner scans.  Bodies touch only per-field engine +
-  // instance state, so batching groups into one shard adds no sharing.
-  static constexpr std::size_t kGroupGrain = 2;
-  auto for_each_group = [&](const std::function<void(std::size_t)>& body) {
-    sharded_for(executor_.get(), field_groups.size(), kGroupGrain,
-                config_.shard_batch,
-                [&](std::size_t, std::size_t gb, std::size_t ge) {
-                  for (std::size_t g = gb; g < ge; ++g) body(g);
-                });
-  };
 
   const double analysis_wall_before = analysis_wall_s_;
   const auto materialize_start = std::chrono::steady_clock::now();
   std::vector<MaterializeResult> mrs(reqs.size());
   std::vector<std::vector<CopyPlan>> plans(reqs.size());
-  // Self-time attribution of the fan-out: wall around the fork/join minus
-  // the phase time the engines record inside the forked bodies.  What is
-  // left is the dispatch/join glue (queue wakeups, idle join waits,
-  // recorder span overhead) -- the executor's own serialization cost.
+  // Self-time attribution: wall around the loop minus the phase time the
+  // engines and copy planning record inside it -- the materialize time
+  // outside every named phase (span bookkeeping, result moves, grouping).
   const std::uint64_t mat_begin =
       profiler_.enabled() ? obs::prof_now_ns() : 0;
   const std::uint64_t mat_inner = profiler_.phase_ns_snapshot();
-  for_each_group([&](std::size_t g) {
-    for (std::size_t i : field_groups[g]) {
+  for (const std::vector<std::size_t>& group : field_groups) {
+    for (std::size_t i : group) {
       // The span watches mrs[i].steps, which the engine fills inside the
       // scope: the span's counters are the sum over the requirement's
-      // steps.  Worker-side spans nest under the launch span via the hint.
+      // steps.
       obs::ScopedSpan span(&recorder_, obs::SpanKind::Materialize,
                            "materialize", id, analysis_node, nullptr,
-                           &mrs[i].steps, launch_span.id());
+                           &mrs[i].steps);
       mrs[i] = engine_->materialize(reqs[i], ctx);
     }
-    // Copy planning is per-field InstanceMap work — the bulk of what the
-    // old emit_graph serial section paid.  It rides the same shard as the
-    // materialize: group order preserves the per-field plan_read order,
-    // so validity evolution and the planned copies match the sequential
-    // schedule exactly.
-    for (std::size_t i : field_groups[g]) {
+    // Copy planning is per-field InstanceMap work; group order preserves
+    // the per-field plan_read order, so validity evolution and the
+    // planned copies follow program order.
+    for (std::size_t i : group) {
       if (reqs[i].privilege.is_reduce()) continue;
-      obs::ScopedPhase plan_phase(&profiler_, obs::PhaseKind::ShardScan,
-                                  "runtime/plan_copies");
+      obs::ScopedPhase plan_phase(&profiler_, "runtime/plan_copies");
       plans[i] = finfos[i]->instances.plan_read(
           launch.mapped_node, forest_.domain(reqs[i].region));
     }
-  });
+  }
   if (profiler_.enabled()) {
     const std::uint64_t wall = obs::prof_now_ns() - mat_begin;
     const std::uint64_t inner = profiler_.phase_ns_snapshot() - mat_inner;
-    profiler_.phase(obs::PhaseKind::Other, "runtime/materialize_fanout",
+    profiler_.phase("runtime/materialize_other",
                     wall > inner ? wall - inner : 0);
   }
 
@@ -320,8 +286,7 @@ LaunchID Runtime::launch(TaskLaunch launch) {
   // over every emitted edge, separated from the graph-emission loop below
   // so the profiler never double-counts the two.
   if (obs::kProvenanceEnabled && config_.provenance) {
-    obs::ScopedPhase prov_phase(&profiler_, obs::PhaseKind::Provenance,
-                                "runtime/install_provenance");
+    obs::ScopedPhase prov_phase(&profiler_, "runtime/install_provenance");
     for (std::size_t i = 0; i < reqs.size(); ++i) {
       // Engines leave the engine byte unset (they cannot name themselves
       // without a layering inversion); stamp it here, then install with
@@ -350,7 +315,7 @@ LaunchID Runtime::launch(TaskLaunch launch) {
 
     // Data movement: reads and read-writes need the current version at the
     // mapped node; reductions accumulate locally into a fresh buffer.
-    // Copies (planned per field inside the fan-out above) start once this
+    // Copies (planned per field in the loop above) start once this
     // requirement's analysis and the producing tasks (its dependences)
     // have finished.
     if (!req.privilege.is_reduce()) {
@@ -385,12 +350,9 @@ LaunchID Runtime::launch(TaskLaunch launch) {
                           req_tails.end());
   }
   if (profiler_.enabled()) {
-    // The emit loop is the canonical-order combine: per-requirement
-    // engine results and pre-planned copies fold into the dependence and
-    // work graphs sequentially in requirement order — the determinism
-    // contract's mandatory serial section, now free of InstanceMap work.
-    profiler_.phase(obs::PhaseKind::Combine, "runtime/emit_graph",
-                    obs::prof_now_ns() - emit_begin);
+    // The emit loop folds per-requirement engine results and pre-planned
+    // copies into the dependence and work graphs in requirement order.
+    profiler_.phase("runtime/emit_graph", obs::prof_now_ns() - emit_begin);
   }
   analysis_wall_s_ += seconds_since(materialize_start);
 
@@ -426,43 +388,38 @@ LaunchID Runtime::launch(TaskLaunch launch) {
 
   // Commit results and update instance validity.  Commit messages are
   // asynchronous too; the iteration marker (not the next launch) joins
-  // them.  Commits shard by field like materializes, and the instance-map
-  // validity updates ride the same shard (per-field order is requirement
-  // order, identical to the sequential schedule); only work-graph
-  // emission stays sequential in requirement order.
+  // them.  Commits run per field group like materializes, with the
+  // instance-map validity updates in requirement order within the field;
+  // work-graph emission then runs in requirement order.
   const auto commit_start = std::chrono::steady_clock::now();
   std::vector<std::vector<AnalysisStep>> commit_steps(reqs.size());
   const std::uint64_t com_begin =
       profiler_.enabled() ? obs::prof_now_ns() : 0;
   const std::uint64_t com_inner = profiler_.phase_ns_snapshot();
-  for_each_group([&](std::size_t g) {
-    for (std::size_t i : field_groups[g]) {
+  for (const std::vector<std::size_t>& group : field_groups) {
+    for (std::size_t i : group) {
       obs::ScopedSpan span(&recorder_, obs::SpanKind::Commit, "commit", id,
-                           analysis_node, nullptr, &commit_steps[i],
-                           launch_span.id());
+                           analysis_node, nullptr, &commit_steps[i]);
       commit_steps[i] = engine_->commit(reqs[i], phys[i].data(), ctx);
     }
-    for (std::size_t i : field_groups[g]) {
+    for (std::size_t i : group) {
       const Requirement& req = reqs[i];
       if (req.privilege.is_write()) {
-        obs::ScopedPhase apply_phase(&profiler_, obs::PhaseKind::ShardScan,
-                                     "runtime/apply_instances");
+        obs::ScopedPhase apply_phase(&profiler_, "runtime/apply_instances");
         finfos[i]->instances.record_write(launch.mapped_node,
                                           forest_.domain(req.region));
       } else if (req.privilege.is_reduce()) {
-        obs::ScopedPhase apply_phase(&profiler_, obs::PhaseKind::ShardScan,
-                                     "runtime/apply_instances");
+        obs::ScopedPhase apply_phase(&profiler_, "runtime/apply_instances");
         finfos[i]->instances.record_reduction(launch.mapped_node,
                                               forest_.domain(req.region),
                                               req.privilege.redop);
       }
     }
-  });
+  }
   if (profiler_.enabled()) {
     const std::uint64_t wall = obs::prof_now_ns() - com_begin;
     const std::uint64_t inner = profiler_.phase_ns_snapshot() - com_inner;
-    profiler_.phase(obs::PhaseKind::Other, "runtime/commit_fanout",
-                    wall > inner ? wall - inner : 0);
+    profiler_.phase("runtime/commit_other", wall > inner ? wall - inner : 0);
   }
   const std::uint64_t commit_emit_begin =
       profiler_.enabled() ? obs::prof_now_ns() : 0;
@@ -478,7 +435,7 @@ LaunchID Runtime::launch(TaskLaunch launch) {
     }
   }
   if (profiler_.enabled()) {
-    profiler_.phase(obs::PhaseKind::Combine, "runtime/emit_commit",
+    profiler_.phase("runtime/emit_commit",
                     obs::prof_now_ns() - commit_emit_begin);
   }
   analysis_wall_s_ += seconds_since(commit_start);
@@ -640,10 +597,7 @@ RegionData<double> Runtime::observe(RegionHandle region, FieldID field) {
 }
 
 std::string Runtime::profile_json() const {
-  const auto wall_ns =
-      static_cast<std::uint64_t>(analysis_wall_s_ * 1e9);
-  const unsigned threads = executor_ != nullptr ? executor_->lanes() : 1;
-  return profiler_.json(wall_ns, threads);
+  return profiler_.json(static_cast<std::uint64_t>(analysis_wall_s_ * 1e9));
 }
 
 std::vector<std::uint64_t> Runtime::messages_by_node() const {

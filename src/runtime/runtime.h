@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "common/arena.h"
-#include "common/executor.h"
 #include "common/hash.h"
 #include "obs/histogram.h"
 #include "obs/lifecycle.h"
@@ -81,34 +80,17 @@ struct RuntimeConfig {
   /// default; with -DVISRT_PROVENANCE=OFF the whole layer compiles out
   /// and this flag is inert.
   bool provenance = false;
-  /// Enable the contention-aware analysis profiler (obs/profile.h):
-  /// per-worker shard-task events, lock-contention telemetry and phase
-  /// attribution of the analysis wall time.  Off by default; a disabled
-  /// profiler costs one branch per hook, and with -DVISRT_PROFILE=OFF the
-  /// whole layer compiles out and this flag is inert.
+  /// Enable the analysis profiler (obs/profile.h): phase attribution of
+  /// the analysis wall time.  Off by default; a disabled profiler costs one
+  /// branch per hook, and with -DVISRT_PROFILE=OFF the whole layer
+  /// compiles out and this flag is inert.
   bool profile = false;
   /// Ring-buffer capacity of each counter series (memory stays bounded for
   /// arbitrarily long runs).
   std::size_t telemetry_series_capacity = 4096;
-  /// Worker lanes (including the calling thread) for sharding each
-  /// launch's analysis across an Executor: requirements on distinct fields
-  /// materialize/plan/commit concurrently and the engines shard their
-  /// inner walks, with each shard appending into a private buffer that is
-  /// folded in index order afterwards (sharded_reduce).  Results —
-  /// dependence graph, DES timings, painted values, provenance — are
-  /// bit-identical to sequential mode by construction (see
-  /// docs/PERFORMANCE.md).  1 = sequential; Algorithm::Reference always
-  /// runs sequentially (it is the oracle).
+  /// Analysis runs on the calling thread; the constructor requires 1.
+  /// Kept because perfbench/visbench.cpp assigns it.
   unsigned analysis_threads = 1;
-  /// Shard batch granularity: how many work items (field groups in the
-  /// launch fan-out, set/entry indices in the engines' inner scans) one
-  /// shard task claims.  0 picks each site's tuned default — coarse
-  /// enough that a typical launch's two-field fan-out runs inline instead
-  /// of paying two fork/joins.  Output is bit-identical across every
-  /// value (the equivalence tests sweep adversarial granularities);
-  /// shard_batch=1 forces the finest sharding, a value larger than the
-  /// work forces everything inline.
-  std::size_t shard_batch = 0;
   /// Bounded-memory streaming: collapse the value payloads of equivalence
   ///-set history entries beyond this depth into per-set composite views
   /// (see EngineConfig::max_history_depth).  Analysis results are
@@ -237,8 +219,7 @@ struct RunStats {
   /// Real (wall-clock) seconds this process spent inside the analysis
   /// sections of launch() — materialize + commit, excluding task bodies
   /// and the DES replay.  This is the quantity the --wall-clock benches
-  /// report; unlike everything else in RunStats it depends on the host and
-  /// on RuntimeConfig::analysis_threads.
+  /// report; unlike everything else in RunStats it depends on the host.
   double analysis_wall_s = 0;
   EngineStats engine;
 };
@@ -291,12 +272,6 @@ public:
   /// Full schema-v1 profile report for this run's measured analysis wall
   /// time (see obs::Profiler::json).
   std::string profile_json() const;
-  /// Per-worker shard-task timeline + lock-contention counter tracks as a
-  /// Chrome trace (wall-clock; separate from the simulated-time trace of
-  /// export_chrome_trace).
-  void export_profile_trace(std::ostream& os) const {
-    profiler_.write_chrome_trace(os);
-  }
 
   /// Eq-set lifecycle ledger (populated iff RuntimeConfig::provenance and
   /// the build has VISRT_PROVENANCE).
@@ -422,19 +397,12 @@ private:
   /// Per-launch scratch memory: launch() resets it on entry and carves its
   /// short-lived dependence/op-id lists out of it (common/arena.h), so the
   /// per-launch malloc traffic of the hot path collapses to pointer bumps
-  /// into retained chunks.  Single-owner: only touched from launch()'s
-  /// calling thread, never from shard tasks.
+  /// into retained chunks.
   Arena scratch_arena_;
   obs::Recorder recorder_;
-  /// Declared before executor_ (which holds a pointer) so the pool is
-  /// destroyed first.
   obs::Profiler profiler_;
   obs::LifecycleLedger lifecycle_;
   sim::MessageLedger msg_ledger_;
-  /// Analysis thread pool (null in sequential mode).  Declared before
-  /// engine_ so the engine — which holds a pointer to it — is destroyed
-  /// first.
-  std::unique_ptr<Executor> executor_;
   std::unique_ptr<CoherenceEngine> engine_;
   DepGraph deps_;
   sim::WorkGraph graph_;

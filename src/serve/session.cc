@@ -119,8 +119,6 @@ void StreamSession::apply(const VisprogStatement& st) {
     case VisprogStatement::Kind::Header: break;
     case VisprogStatement::Kind::Config:
     case VisprogStatement::Kind::Tuning:
-    case VisprogStatement::Kind::Threads:
-    case VisprogStatement::Kind::ShardBatch:
     case VisprogStatement::Kind::Tree:
     case VisprogStatement::Kind::Partition:
     case VisprogStatement::Kind::Field: apply_decl(st); break;
@@ -166,11 +164,7 @@ void StreamSession::instantiate() {
   config.dcr = spec_.dcr;
   config.enable_tracing = spec_.tracing;
   config.track_values = options_.track_values;
-  config.analysis_threads = options_.analysis_threads != 0
-                                ? options_.analysis_threads
-                                : spec_.analysis_threads;
-  config.shard_batch =
-      options_.shard_batch != 0 ? options_.shard_batch : spec_.shard_batch;
+  config.analysis_threads = options_.analysis_threads;
   config.machine.num_nodes = spec_.num_nodes;
   config.max_history_depth = options_.max_history_depth;
   config.launch_latency = &latency_->launch_analysis;

@@ -71,11 +71,9 @@ struct SessionOptions {
   /// Execute task bodies and track region values (matches the oracle).
   /// Off for analysis-only ingest, where value hashes stay zero.
   bool track_values = true;
-  /// Override the stream's `threads` directive when nonzero.
-  unsigned analysis_threads = 0;
-  /// Override the stream's `shard_batch` directive when nonzero
-  /// (RuntimeConfig::shard_batch granularity).
-  std::size_t shard_batch = 0;
+  /// Forwarded to RuntimeConfig::analysis_threads, which must be 1.
+  /// Kept because perfbench/visbench.cpp assigns it.
+  unsigned analysis_threads = 1;
   /// Override the stream's configured engine.
   std::optional<Algorithm> subject;
   /// Verify each launch's emitted edges on arrival with the incremental

@@ -7,9 +7,8 @@
 // substrate for plotting root-node fan-in directly: group records by
 // destination and the painter's node-0 hot spot falls out.
 //
-// Records are appended only from the runtime's sequential per-requirement
-// loops (never from sharded scans), so the ledger needs no lock and its
-// contents are bit-identical across `analysis_threads`.
+// Records are appended in the runtime's per-requirement emission order, so
+// the ledger's contents are a pure function of the program.
 //
 // Part of the provenance layer: compiled out with -DVISRT_PROVENANCE=OFF,
 // and gated at runtime by `RuntimeConfig::provenance` otherwise.

@@ -29,8 +29,6 @@
 
 namespace visrt {
 
-class Executor;
-
 namespace obs {
 class Recorder;
 class LifecycleLedger;
@@ -136,18 +134,10 @@ struct EngineConfig {
   /// Telemetry recorder the engine opens phase spans on (non-owning; may
   /// be null or disabled, in which case every span is a single branch).
   obs::Recorder* recorder = nullptr;
-  /// Analysis profiler the engine attributes wall time to (non-owning;
-  /// may be null or disabled — then every ScopedPhase is a single
-  /// branch).  Engines classify their sharded interference scans as
-  /// ShardScan and the canonical-order slot merges as Merge.
+  /// Analysis profiler the engine attributes wall time to, one label per
+  /// phase (non-owning; may be null or disabled — then every ScopedPhase
+  /// is a single branch).
   obs::Profiler* profiler = nullptr;
-  /// Analysis executor (non-owning; may be null).  Engines shard their
-  /// side-effect-free interference scans across it — per-shard results are
-  /// merged in canonical order, so the emitted AnalysisSteps, counters and
-  /// dependences are bit-identical to a null (sequential) executor.  All
-  /// state mutation (refines, captures, painting, commits) stays on the
-  /// calling thread.
-  Executor* executor = nullptr;
   /// Capture per-edge provenance into MaterializeResult::provenance and
   /// report eq-set lifecycle events to `lifecycle`.  Folds away entirely
   /// when VISRT_PROVENANCE=0; otherwise one branch per emission site.
@@ -163,11 +153,6 @@ struct EngineConfig {
   /// the uncollapsed history; only value-payload residency shrinks.
   /// 0 = never collapse.  Currently honored by RayCast.
   std::size_t max_history_depth = 0;
-  /// Shard batch granularity for the engines' inner scans
-  /// (RuntimeConfig::shard_batch): nonzero replaces each scan's tuned
-  /// grain — 1 forces the finest sharding, larger-than-work runs inline.
-  /// Results are bit-identical across every value.
-  std::size_t shard_batch = 0;
 };
 
 class CoherenceEngine {

@@ -1,7 +1,6 @@
 #include "visibility/naive.h"
 
 #include "common/check.h"
-#include "common/executor.h"
 #include "obs/lifecycle.h"
 #include "obs/profile.h"
 #include "obs/recorder.h"
@@ -10,57 +9,36 @@ namespace visrt {
 
 namespace {
 
-/// Minimum history entries (NaivePaint) or sets (NaiveWarnock) per shard
-/// when a walk forks onto the analysis executor.
-constexpr std::size_t kEntryGrain = 64;
-constexpr std::size_t kSetGrain = 8;
-
 /// Dependences and (optionally) values from painting a history in order.
 /// `dom` restricts the walk; `target` may be null (dependences only).
-/// The per-entry interference tests shard across `ex` (pure reads); the
-/// order-dependent painting replays sequentially, so the result is
-/// bit-identical to an inline walk at any thread count.  When `prov` is
-/// non-null, one HistoryWalk provenance record per hit is appended
-/// (stamped with `region`/`field`; the dep graph keeps the first per edge).
-void walk_history(Executor* ex, obs::Profiler* profiler, std::size_t batch,
+/// When `prov` is non-null, one HistoryWalk provenance record per hit is
+/// appended (stamped with `region`/`field`; the dep graph keeps the first
+/// per edge).
+void walk_history(obs::Profiler* profiler,
                   const std::vector<HistEntry>& history,
                   const IntervalSet& dom, const Privilege& priv,
                   RegionData<double>* target, std::vector<LaunchID>& deps,
-                  AnalysisCounters& c, obs::TaskTag tag = {},
+                  AnalysisCounters& c,
                   std::vector<obs::EdgeProvenance>* prov = nullptr,
                   RegionTreeID region = UINT32_MAX, FieldID field = 0) {
-  struct Shard {
-    AnalysisCounters counters;
-    std::vector<std::uint32_t> hits; ///< indices into `history`
-  };
-  sharded_reduce<Shard>(
-      ex, history.size(), kEntryGrain, batch,
-      [&](Shard& w, std::size_t begin, std::size_t end) {
-        for (std::size_t k = begin; k < end; ++k) {
-          if (entry_depends(history[k], dom, priv, w.counters))
-            w.hits.push_back(static_cast<std::uint32_t>(k));
-        }
-      },
-      [&](Shard& w, std::size_t, std::size_t, std::size_t) {
-        c += w.counters;
-        for (std::uint32_t h : w.hits) {
-          const HistEntry& e = history[h];
-          add_dependence(deps, e.task);
-          if (prov != nullptr && e.task != kInvalidLaunch) {
-            obs::EdgeProvenance p;
-            p.from = e.task;
-            p.phase = obs::ProvPhase::HistoryWalk;
-            p.region = region;
-            p.eqset = kNoEqSetID;
-            p.field = field;
-            p.prev = e.priv;
-            p.cur = priv;
-            prov->push_back(p);
-          }
-        }
-      },
-      tag, ReducePhases{profiler, "naive/history_scan",
-                        "naive/history_merge"});
+  {
+    obs::ScopedPhase phase(profiler, "naive/history_scan");
+    for (const HistEntry& e : history) {
+      if (!entry_depends(e, dom, priv, c)) continue;
+      add_dependence(deps, e.task);
+      if (prov != nullptr && e.task != kInvalidLaunch) {
+        obs::EdgeProvenance p;
+        p.from = e.task;
+        p.phase = obs::ProvPhase::HistoryWalk;
+        p.region = region;
+        p.eqset = kNoEqSetID;
+        p.field = field;
+        p.prev = e.priv;
+        p.cur = priv;
+        prov->push_back(p);
+      }
+    }
+  }
   if (target != nullptr) {
     for (const HistEntry& e : history) {
       if (e.values.has_value()) paint_entry(*target, e, c);
@@ -115,9 +93,7 @@ MaterializeResult NaivePaintEngine::materialize(const Requirement& req,
       out.data = RegionData<double>::filled(
           dom, reduction_op(req.privilege.redop).identity);
     }
-    walk_history(config_.executor, config_.profiler, config_.shard_batch,
-                 fs.history, dom, req.privilege, nullptr, out.dependences, c,
-                 obs::TaskTag{ctx.task, req.field},
+    walk_history(config_.profiler, fs.history, dom, req.privilege, nullptr, out.dependences, c,
                  obs::kProvenanceEnabled && config_.provenance
                      ? &out.provenance
                      : nullptr,
@@ -129,9 +105,7 @@ MaterializeResult NaivePaintEngine::materialize(const Requirement& req,
       data = RegionData<double>::filled(dom, 0.0);
       target = &data;
     }
-    walk_history(config_.executor, config_.profiler, config_.shard_batch,
-                 fs.history, dom, req.privilege, target, out.dependences, c,
-                 obs::TaskTag{ctx.task, req.field},
+    walk_history(config_.profiler, fs.history, dom, req.privilege, target, out.dependences, c,
                  obs::kProvenanceEnabled && config_.provenance
                      ? &out.provenance
                      : nullptr,
@@ -149,8 +123,7 @@ std::vector<AnalysisStep> NaivePaintEngine::commit(
   require(it != fields_.end(), "commit on unregistered field");
   FieldState& fs = it->second;
 
-  obs::ScopedPhase phase(config_.profiler, obs::PhaseKind::Other,
-                         "naive/commit_register");
+  obs::ScopedPhase phase(config_.profiler, "naive/commit_register");
   HistEntry e;
   e.task = ctx.task;
   e.priv = req.privilege;
@@ -256,8 +229,7 @@ MaterializeResult NaiveWarnockEngine::materialize(const Requirement& req,
     obs::ScopedSpan span(config_.recorder, obs::SpanKind::Phase,
                          "eqset_refine", ctx.task, ctx.analysis_node, &c,
                          nullptr);
-    obs::ScopedPhase phase(config_.profiler, obs::PhaseKind::Other,
-                           "naive/eqset_refine");
+    obs::ScopedPhase phase(config_.profiler, "naive/eqset_refine");
     std::size_t before = fs.sets.size();
     refine(fs, dom, c, config_.track_values);
     // Each split removes one set and creates two, so the net growth equals
@@ -289,73 +261,39 @@ MaterializeResult NaiveWarnockEngine::materialize(const Requirement& req,
     obs::ScopedSpan span(config_.recorder, obs::SpanKind::Phase,
                          "history_walk", ctx.task, ctx.analysis_node, &c,
                          nullptr);
-    // Deterministic reduction: the pure per-set interference tests append
-    // into per-shard buffers across the executor; counter accumulation,
-    // painting and data merging fold the buffers sequentially in set
-    // order, making the result bit-identical to the inline loop at any
-    // thread count.
-    struct VisitShard {
-      std::vector<AnalysisCounters> counters; ///< one per set in the shard
-      /// (set index, history entry) pairs, appended in scan order.
-      std::vector<std::pair<std::uint32_t, std::uint32_t>> hits;
-    };
-    sharded_reduce<VisitShard>(
-        config_.executor, fs.sets.size(), kSetGrain, config_.shard_batch,
-        [&](VisitShard& shard, std::size_t begin, std::size_t end) {
-          shard.counters.resize(end - begin);
-          for (std::size_t i = begin; i < end; ++i) {
-            const EqSet& eq = fs.sets[i];
-            if (!dom.contains(eq.dom) || eq.dom.empty()) continue;
-            AnalysisCounters& cc = shard.counters[i - begin];
-            for (std::size_t h = 0; h < eq.history.size(); ++h) {
-              if (entry_depends(eq.history[h], eq.dom, req.privilege, cc))
-                shard.hits.emplace_back(static_cast<std::uint32_t>(i),
-                                        static_cast<std::uint32_t>(h));
-            }
-          }
-        },
-        [&](VisitShard& shard, std::size_t, std::size_t begin,
-            std::size_t end) {
-          std::size_t cursor = 0;
-          for (std::size_t i = begin; i < end; ++i) {
-            EqSet& eq = fs.sets[i];
-            if (!dom.contains(eq.dom) || eq.dom.empty()) continue;
-            ++c.eqset_visits;
-            c += shard.counters[i - begin];
-            for (; cursor < shard.hits.size() && shard.hits[cursor].first == i;
-                 ++cursor) {
-              const HistEntry& e = eq.history[shard.hits[cursor].second];
-              add_dependence(out.dependences, e.task);
-              if (obs::kProvenanceEnabled && config_.provenance &&
-                  e.task != kInvalidLaunch) {
-                obs::EdgeProvenance p;
-                p.from = e.task;
-                p.phase = obs::ProvPhase::EqSetVisit;
-                p.region = req.region.index;
-                p.eqset = kNoEqSetID; // naive sets have no stable ids
-                p.field = req.field;
-                p.prev = e.priv;
-                p.cur = req.privilege;
-                out.provenance.push_back(p);
-              }
-            }
-            if (!build_values) continue;
-            RegionData<double> piece;
-            if (req.privilege.is_reduce()) {
-              piece = RegionData<double>::filled(
-                  eq.dom, reduction_op(req.privilege.redop).identity);
-            } else {
-              piece = RegionData<double>::filled(eq.dom, 0.0);
-              for (const HistEntry& e : eq.history) {
-                if (e.values.has_value()) paint_entry(piece, e, c);
-              }
-            }
-            data = data.empty() ? std::move(piece) : data.merged_with(piece);
-          }
-        },
-        obs::TaskTag{ctx.task, req.field},
-        ReducePhases{config_.profiler, "naive/set_scan",
-                     "naive/visit_merge"});
+    obs::ScopedPhase phase(config_.profiler, "naive/set_visit");
+    for (const EqSet& eq : fs.sets) {
+      if (!dom.contains(eq.dom) || eq.dom.empty()) continue;
+      ++c.eqset_visits;
+      for (const HistEntry& e : eq.history) {
+        if (!entry_depends(e, eq.dom, req.privilege, c)) continue;
+        add_dependence(out.dependences, e.task);
+        if (obs::kProvenanceEnabled && config_.provenance &&
+            e.task != kInvalidLaunch) {
+          obs::EdgeProvenance p;
+          p.from = e.task;
+          p.phase = obs::ProvPhase::EqSetVisit;
+          p.region = req.region.index;
+          p.eqset = kNoEqSetID; // naive sets have no stable ids
+          p.field = req.field;
+          p.prev = e.priv;
+          p.cur = req.privilege;
+          out.provenance.push_back(p);
+        }
+      }
+      if (!build_values) continue;
+      RegionData<double> piece;
+      if (req.privilege.is_reduce()) {
+        piece = RegionData<double>::filled(
+            eq.dom, reduction_op(req.privilege.redop).identity);
+      } else {
+        piece = RegionData<double>::filled(eq.dom, 0.0);
+        for (const HistEntry& e : eq.history) {
+          if (e.values.has_value()) paint_entry(piece, e, c);
+        }
+      }
+      data = data.empty() ? std::move(piece) : data.merged_with(piece);
+    }
   }
   if (build_values && data.empty() && !dom.empty()) {
     // Domain with no equivalence sets can't happen: sets cover the root.
@@ -373,8 +311,7 @@ std::vector<AnalysisStep> NaiveWarnockEngine::commit(
   const IntervalSet& dom = config_.forest->domain(req.region);
   AnalysisCounters c;
 
-  obs::ScopedPhase phase(config_.profiler, obs::PhaseKind::Other,
-                         "naive/commit_register");
+  obs::ScopedPhase phase(config_.profiler, "naive/commit_register");
   for (EqSet& eq : fs.sets) {
     // materialize() refined, so each set is inside dom or disjoint from it.
     if (eq.dom.empty() || !dom.contains(eq.dom)) continue;
@@ -423,8 +360,7 @@ MaterializeResult NaiveRayCastEngine::materialize(const Requirement& req,
   obs::ScopedSpan prune_span(config_.recorder, obs::SpanKind::Phase,
                              "eqset_prune", ctx.task, ctx.analysis_node, &c,
                              nullptr);
-  obs::ScopedPhase phase(config_.profiler, obs::PhaseKind::Other,
-                         "naive/eqset_prune");
+  obs::ScopedPhase phase(config_.profiler, "naive/eqset_prune");
   std::size_t before = fs.sets.size();
   std::erase_if(fs.sets, [&](const EqSet& eq) {
     return eq.dom.empty() || dom.contains(eq.dom);

@@ -4,7 +4,6 @@
 #include <map>
 
 #include "common/check.h"
-#include "common/executor.h"
 #include "obs/lifecycle.h"
 #include "obs/profile.h"
 #include "obs/recorder.h"
@@ -18,9 +17,6 @@ namespace {
 /// Approximate serialized size of one history entry inside a view
 /// (metadata only; bulk data moves through the copy engine).
 constexpr std::uint64_t kEntryMetaBytes = 64;
-/// Minimum items per shard when the interference scans fork onto the
-/// analysis executor; below 2 grains the scan stays inline.
-constexpr std::size_t kShardGrain = 64;
 } // namespace
 
 std::uint64_t PaintEngine::CompositeView::bytes() const {
@@ -242,50 +238,27 @@ void PaintEngine::close_subtrees(FieldState& fs,
 
     for (PartitionHandle ph : forest.partitions(a)) {
       if (ph == next_part) {
-        // Siblings within the path partition close individually.  The
-        // interference tests are pure reads of per-child subtree state (a
-        // capture never touches a *sibling's* subtree counts or privilege
-        // summary), so they shard across the executor; the captures
-        // themselves mutate and run afterwards, sequentially in child
-        // order — exactly the order the inline loop produces.
-        std::span<const RegionHandle> kids = forest.children(ph);
-        struct KidShard {
-          AnalysisCounters counters;
-          std::vector<std::uint32_t> needs; ///< child indices to capture
-        };
-        sharded_reduce<KidShard>(
-            config_.executor, kids.size(), kShardGrain, config_.shard_batch,
-            [&](KidShard& shard, std::size_t begin, std::size_t end) {
-              for (std::size_t k = begin; k < end; ++k) {
-                RegionHandle child = kids[k];
-                if (child == next) continue;
-                ++shard.counters.composite_child_tests;
-                auto cit = fs.nodes.find(child.index);
-                if (cit == fs.nodes.end() ||
-                    cit->second.subtree_entries == 0)
-                  continue;
-                if (!privs_interfere(cit->second.subtree_privs, priv))
-                  continue;
-                if (!forest.domain(child).overlaps(dom)) continue;
-                shard.needs.push_back(static_cast<std::uint32_t>(k));
-              }
-            },
-            [&](KidShard& shard, std::size_t, std::size_t, std::size_t) {
-              local += shard.counters;
-              for (std::uint32_t k : shard.needs) {
-                RegionHandle one[] = {kids[k]};
-                capture(fs, a, one, ctx, steps, local);
-              }
-            },
-            obs::TaskTag{ctx.task, fs.id},
-            ReducePhases{config_.profiler, "paint/kid_scan",
-                         "paint/kid_merge"});
+        // Siblings within the path partition close individually, in child
+        // order.  A capture never touches a *sibling's* subtree counts or
+        // privilege summary, so each test sees the state it would before
+        // any capture.
+        obs::ScopedPhase phase(config_.profiler, "paint/kid_capture");
+        for (RegionHandle child : forest.children(ph)) {
+          if (child == next) continue;
+          ++local.composite_child_tests;
+          auto cit = fs.nodes.find(child.index);
+          if (cit == fs.nodes.end() || cit->second.subtree_entries == 0)
+            continue;
+          if (!privs_interfere(cit->second.subtree_privs, priv)) continue;
+          if (!forest.domain(child).overlaps(dom)) continue;
+          RegionHandle one[] = {child};
+          capture(fs, a, one, ctx, steps, local);
+        }
         continue;
       }
       // Off-path partition subtree: capture the whole partition when any
       // open child interferes and overlaps.
-      obs::ScopedPhase phase(config_.profiler, obs::PhaseKind::Other,
-                             "paint/subtree_capture");
+      obs::ScopedPhase phase(config_.profiler, "paint/subtree_capture");
       bool need = false;
       for (RegionHandle child : forest.children(ph)) {
         ++local.composite_child_tests;
@@ -343,10 +316,10 @@ MaterializeResult PaintEngine::materialize(const Requirement& req,
     obs::ScopedSpan walk_span(config_.recorder, obs::SpanKind::Phase,
                               "history_walk", ctx.task, ctx.analysis_node,
                               &local, &out.steps);
-    // Gather pass (sequential): flatten the path histories into one item
-    // list and perform the on-demand view replication — the only mutation
-    // of the walk.  Entry pointers stay valid: nothing below reallocates
-    // an element or a view's entry vector.
+    // Gather pass: flatten the path histories into one item list and
+    // perform the on-demand view replication — the only mutation of the
+    // walk.  Entry pointers stay valid: nothing below reallocates an
+    // element or a view's entry vector.
     struct WalkItem {
       const HistEntry* e;
       NodeID direct_owner; ///< meaningful when !from_view
@@ -354,101 +327,68 @@ MaterializeResult PaintEngine::materialize(const Requirement& req,
       EqSetID view_id; ///< id of the enclosing view (kNoEqSetID if direct)
     };
     std::vector<WalkItem> items;
-    const std::uint64_t gather_begin =
-        config_.profiler != nullptr && config_.profiler->enabled()
-            ? obs::prof_now_ns()
-            : 0;
-    for (RegionHandle a : path) {
-      auto it = fs.nodes.find(a.index);
-      if (it == fs.nodes.end()) continue;
-      NodeState& ns = it->second;
-      for (Element& el : ns.elements) {
-        if (el.view) {
-          CompositeView& v = *el.view;
-          if (std::find(v.replicated_on.begin(), v.replicated_on.end(),
-                        ctx.analysis_node) == v.replicated_on.end()) {
-            v.replicated_on.push_back(ctx.analysis_node);
-            AnalysisCounters fetch;
-            fetch.composite_captures = 1;
-            out.steps.push_back(
-                AnalysisStep{v.owner, fetch, v.bytes(), v.id});
-            if (obs::kProvenanceEnabled && config_.provenance &&
-                config_.lifecycle)
-              config_.lifecycle->record(obs::LifecycleEventKind::Migrate,
-                                        ctx.task, fs.id, v.id, kNoEqSetID,
-                                        ctx.analysis_node, fs.views_live);
+    {
+      obs::ScopedPhase phase(config_.profiler, "paint/item_gather");
+      for (RegionHandle a : path) {
+        auto it = fs.nodes.find(a.index);
+        if (it == fs.nodes.end()) continue;
+        NodeState& ns = it->second;
+        for (Element& el : ns.elements) {
+          if (el.view) {
+            CompositeView& v = *el.view;
+            if (std::find(v.replicated_on.begin(), v.replicated_on.end(),
+                          ctx.analysis_node) == v.replicated_on.end()) {
+              v.replicated_on.push_back(ctx.analysis_node);
+              AnalysisCounters fetch;
+              fetch.composite_captures = 1;
+              out.steps.push_back(
+                  AnalysisStep{v.owner, fetch, v.bytes(), v.id});
+              if (obs::kProvenanceEnabled && config_.provenance &&
+                  config_.lifecycle)
+                config_.lifecycle->record(obs::LifecycleEventKind::Migrate,
+                                          ctx.task, fs.id, v.id, kNoEqSetID,
+                                          ctx.analysis_node, fs.views_live);
+            }
+            for (const HistEntry& e : v.entries)
+              items.push_back(WalkItem{&e, 0, true, v.id});
+          } else {
+            items.push_back(WalkItem{&el.op, ns.owner, false, kNoEqSetID});
           }
-          for (const HistEntry& e : v.entries)
-            items.push_back(WalkItem{&e, 0, true, v.id});
-        } else {
-          items.push_back(WalkItem{&el.op, ns.owner, false, kNoEqSetID});
         }
       }
     }
 
-    // Test pass: per-item interference tests are pure, so they run as a
-    // deterministic reduction — each shard accumulates into a private
-    // buffer, and the combine folds the buffers in shard (= item) order.
-    // Counter sums are commutative and the dependence list is a sorted
-    // set, so the result is bit-identical to the inline walk at any
-    // thread count.
-    struct WalkShard {
-      AnalysisCounters local;
-      std::map<NodeID, AnalysisCounters> remote;
-      std::vector<std::uint32_t> hits; ///< indices into `items`
-    };
-    if (config_.profiler != nullptr && config_.profiler->enabled()) {
-      config_.profiler->phase(obs::PhaseKind::Other, "paint/item_gather",
-                              obs::prof_now_ns() - gather_begin);
+    // Test pass: interference tests in history order, collecting the
+    // dependences (a sorted set) and their provenance.
+    {
+      obs::ScopedPhase phase(config_.profiler, "paint/item_scan");
+      for (const WalkItem& item : items) {
+        AnalysisCounters& rc =
+            item.from_view || item.direct_owner == ctx.analysis_node
+                ? local
+                : remote[item.direct_owner];
+        if (item.from_view) ++rc.composite_child_tests;
+        if (skips_entry(*item.e)) continue;
+        if (!entry_depends(*item.e, dom, req.privilege, rc)) continue;
+        add_dependence(out.dependences, item.e->task);
+        if (obs::kProvenanceEnabled && config_.provenance &&
+            item.e->task != kInvalidLaunch) {
+          obs::EdgeProvenance p;
+          p.from = item.e->task;
+          p.phase = item.from_view ? obs::ProvPhase::CompositeView
+                                   : obs::ProvPhase::HistoryWalk;
+          p.region = req.region.index;
+          p.eqset = item.view_id;
+          p.field = req.field;
+          p.prev = item.e->priv;
+          p.cur = req.privilege;
+          out.provenance.push_back(p);
+        }
+      }
     }
-    sharded_reduce<WalkShard>(
-        config_.executor, items.size(), kShardGrain, config_.shard_batch,
-        [&](WalkShard& w, std::size_t begin, std::size_t end) {
-          for (std::size_t k = begin; k < end; ++k) {
-            const WalkItem& item = items[k];
-            if (item.from_view) {
-              ++w.local.composite_child_tests;
-              if (skips_entry(*item.e)) continue;
-              if (entry_depends(*item.e, dom, req.privilege, w.local))
-                w.hits.push_back(static_cast<std::uint32_t>(k));
-            } else {
-              AnalysisCounters& rc = item.direct_owner == ctx.analysis_node
-                                         ? w.local
-                                         : w.remote[item.direct_owner];
-              if (skips_entry(*item.e)) continue;
-              if (entry_depends(*item.e, dom, req.privilege, rc))
-                w.hits.push_back(static_cast<std::uint32_t>(k));
-            }
-          }
-        },
-        [&](WalkShard& w, std::size_t, std::size_t, std::size_t) {
-          local += w.local;
-          for (const auto& [owner, counters] : w.remote)
-            remote[owner] += counters;
-          for (std::uint32_t k : w.hits) {
-            const WalkItem& item = items[k];
-            add_dependence(out.dependences, item.e->task);
-            if (obs::kProvenanceEnabled && config_.provenance &&
-                item.e->task != kInvalidLaunch) {
-              obs::EdgeProvenance p;
-              p.from = item.e->task;
-              p.phase = item.from_view ? obs::ProvPhase::CompositeView
-                                       : obs::ProvPhase::HistoryWalk;
-              p.region = req.region.index;
-              p.eqset = item.view_id;
-              p.field = req.field;
-              p.prev = item.e->priv;
-              p.cur = req.privilege;
-              out.provenance.push_back(p);
-            }
-          }
-        },
-        obs::TaskTag{ctx.task, req.field},
-        ReducePhases{config_.profiler, "paint/item_scan",
-                     "paint/item_merge"});
 
-    // Paint pass (sequential): value application is order-dependent, so
-    // it replays the items in history order on the calling thread.
+    // Paint pass: value application is order-dependent, so it replays the
+    // items in history order.
     if (paint_values) {
       for (const WalkItem& item : items) {
         if (skips_entry(*item.e)) continue;
@@ -484,8 +424,7 @@ std::vector<AnalysisStep> PaintEngine::commit(const Requirement& req,
   FieldState& fs = field_state(req.field);
   const IntervalSet& dom = config_.forest->domain(req.region);
 
-  obs::ScopedPhase phase(config_.profiler, obs::PhaseKind::Other,
-                         "paint/commit_register");
+  obs::ScopedPhase phase(config_.profiler, "paint/commit_register");
   HistEntry e;
   e.task = ctx.task;
   e.priv = req.privilege;

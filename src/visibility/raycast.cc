@@ -3,19 +3,12 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/executor.h"
 #include "common/hash.h"
 #include "obs/lifecycle.h"
 #include "obs/profile.h"
 #include "obs/recorder.h"
 
 namespace visrt {
-
-namespace {
-/// Minimum constituent sets per shard when the visit scan forks onto the
-/// analysis executor.
-constexpr std::size_t kSetGrain = 8;
-} // namespace
 
 RayCastEngine::RayCastEngine(const EngineConfig& config)
     : RayCastEngine(config, Options{}) {}
@@ -415,8 +408,7 @@ MaterializeResult RayCastEngine::materialize(const Requirement& req,
     obs::ScopedSpan span(config_.recorder, obs::SpanKind::Phase,
                          "accel_lookup", ctx.task, ctx.analysis_node, &local,
                          &out.steps);
-    obs::ScopedPhase phase(config_.profiler, obs::PhaseKind::Other,
-                           "raycast/accel_lookup");
+    obs::ScopedPhase phase(config_.profiler, "raycast/accel_lookup");
     select_accel(fs, req.region, local);
     hit = cast(fs, req.region, dom, local);
   }
@@ -432,8 +424,7 @@ MaterializeResult RayCastEngine::materialize(const Requirement& req,
     obs::ScopedSpan span(config_.recorder, obs::SpanKind::Phase,
                          "eqset_refine", ctx.task, ctx.analysis_node, &local,
                          &out.steps);
-    obs::ScopedPhase phase(config_.profiler, obs::PhaseKind::Other,
-                           "raycast/eqset_refine");
+    obs::ScopedPhase phase(config_.profiler, "raycast/eqset_refine");
     while (!work.empty()) {
       std::uint32_t id = work.back();
       work.pop_back();
@@ -471,91 +462,56 @@ MaterializeResult RayCastEngine::materialize(const Requirement& req,
     obs::ScopedSpan span(config_.recorder, obs::SpanKind::Phase,
                          "history_walk", ctx.task, ctx.analysis_node, &local,
                          &out.steps);
-    // Deterministic reduction: each shard tests its sets' histories into
-    // a private buffer; the combine folds the buffers in set order on the
-    // calling thread (step bookkeeping — including merging a set's visit
-    // into its split's round trip — painting and data merging), so the
-    // output is bit-identical to the inline loop.
-    struct VisitShard {
-      std::vector<AnalysisCounters> counters; ///< one per set in the shard
-      /// (set index, history entry) pairs — appended in scan order, so
-      /// already sorted by set index then entry.
-      std::vector<std::pair<std::uint32_t, std::uint32_t>> hits;
-    };
-    sharded_reduce<VisitShard>(
-        config_.executor, inside_ids.size(), kSetGrain, config_.shard_batch,
-        [&](VisitShard& shard, std::size_t begin, std::size_t end) {
-          shard.counters.resize(end - begin);
-          for (std::size_t i = begin; i < end; ++i) {
-            const EqSet& s = fs.sets[inside_ids[i]];
-            if (s.dom.empty()) continue;
-            AnalysisCounters& c = shard.counters[i - begin];
-            for (std::size_t h = 0; h < s.history.size(); ++h) {
-              if (entry_depends(s.history[h], s.dom, req.privilege, c))
-                shard.hits.emplace_back(static_cast<std::uint32_t>(i),
-                                        static_cast<std::uint32_t>(h));
-            }
-          }
-        },
-        [&](VisitShard& shard, std::size_t, std::size_t begin,
-            std::size_t end) {
-          std::size_t cursor = 0;
-          for (std::size_t i = begin; i < end; ++i) {
-            const std::uint32_t id = inside_ids[i];
-            EqSet& s = fs.sets[id];
-            if (s.dom.empty()) continue;
-            auto vit = visited_by_split.find(id);
-            AnalysisStep fresh_step;
-            fresh_step.eqset = id;
-            AnalysisCounters& counters = vit != visited_by_split.end()
-                                             ? out.steps[vit->second].counters
-                                             : fresh_step.counters;
-            ++counters.eqset_visits;
-            counters += shard.counters[i - begin];
-            for (; cursor < shard.hits.size() && shard.hits[cursor].first == i;
-                 ++cursor) {
-              const HistEntry& e = s.history[shard.hits[cursor].second];
-              add_dependence(out.dependences, e.task);
-              if (obs::kProvenanceEnabled && config_.provenance &&
-                  e.task != kInvalidLaunch) {
-                obs::EdgeProvenance p;
-                p.from = e.task;
-                p.phase = obs::ProvPhase::EqSetVisit;
-                p.region = req.region.index;
-                p.eqset = id;
-                p.field = req.field;
-                p.prev = e.priv;
-                p.cur = req.privilege;
-                out.provenance.push_back(p);
-              }
-            }
-            RegionData<double> piece;
-            if (paint_values) {
-              // The composite view is the folded value of the collapsed
-              // history prefix; flagged entries then charge their modeled
-              // paint cost inside paint_entry without repainting.
-              piece = s.composite.has_value()
-                          ? *s.composite
-                          : RegionData<double>::filled(s.dom, 0.0);
-              for (const HistEntry& e : s.history) {
-                if (e.collapsed || e.values.has_value())
-                  paint_entry(piece, e, counters);
-              }
-            }
-            if (vit == visited_by_split.end()) {
-              fresh_step.owner = s.owner;
-              fresh_step.meta_bytes = 64 + 32 * s.history.size();
-              out.steps.push_back(std::move(fresh_step));
-            } else {
-              out.steps[vit->second].meta_bytes += 32 * s.history.size();
-            }
-            if (paint_values)
-              data = data.empty() ? std::move(piece) : data.merged_with(piece);
-          }
-        },
-        obs::TaskTag{ctx.task, req.field},
-        ReducePhases{config_.profiler, "raycast/set_scan",
-                     "raycast/visit_merge"});
+    obs::ScopedPhase phase(config_.profiler, "raycast/set_visit");
+    for (std::uint32_t id : inside_ids) {
+      const EqSet& s = fs.sets[id];
+      if (s.dom.empty()) continue;
+      auto vit = visited_by_split.find(id);
+      AnalysisStep fresh_step;
+      fresh_step.eqset = id;
+      AnalysisCounters& counters = vit != visited_by_split.end()
+                                       ? out.steps[vit->second].counters
+                                       : fresh_step.counters;
+      ++counters.eqset_visits;
+      for (const HistEntry& e : s.history) {
+        if (!entry_depends(e, s.dom, req.privilege, counters)) continue;
+        add_dependence(out.dependences, e.task);
+        if (obs::kProvenanceEnabled && config_.provenance &&
+            e.task != kInvalidLaunch) {
+          obs::EdgeProvenance p;
+          p.from = e.task;
+          p.phase = obs::ProvPhase::EqSetVisit;
+          p.region = req.region.index;
+          p.eqset = id;
+          p.field = req.field;
+          p.prev = e.priv;
+          p.cur = req.privilege;
+          out.provenance.push_back(p);
+        }
+      }
+      RegionData<double> piece;
+      if (paint_values) {
+        // The composite view is the folded value of the collapsed history
+        // prefix; flagged entries then charge their modeled paint cost
+        // inside paint_entry without repainting.
+        piece = s.composite.has_value()
+                    ? *s.composite
+                    : RegionData<double>::filled(s.dom, 0.0);
+        for (const HistEntry& e : s.history) {
+          if (e.collapsed || e.values.has_value())
+            paint_entry(piece, e, counters);
+        }
+      }
+      if (vit == visited_by_split.end()) {
+        fresh_step.owner = s.owner;
+        fresh_step.meta_bytes = 64 + 32 * s.history.size();
+        out.steps.push_back(std::move(fresh_step));
+      } else {
+        out.steps[vit->second].meta_bytes += 32 * s.history.size();
+      }
+      if (paint_values)
+        data = data.empty() ? std::move(piece) : data.merged_with(piece);
+    }
   }
 
   if (config_.track_values) {
@@ -575,8 +531,7 @@ MaterializeResult RayCastEngine::materialize(const Requirement& req,
     obs::ScopedSpan span(config_.recorder, obs::SpanKind::Phase,
                          "eqset_prune", ctx.task, ctx.analysis_node, &local,
                          &out.steps);
-    obs::ScopedPhase phase(config_.profiler, obs::PhaseKind::Other,
-                           "raycast/eqset_prune");
+    obs::ScopedPhase phase(config_.profiler, "raycast/eqset_prune");
     for (std::uint32_t id : inside_ids) {
       EqSet& s = fs.sets[id];
       if (!s.live) continue;
@@ -623,8 +578,7 @@ std::vector<AnalysisStep> RayCastEngine::commit(
   FieldState& fs = field_state(req.field);
   const IntervalSet& dom = config_.forest->domain(req.region);
 
-  obs::ScopedPhase phase(config_.profiler, obs::PhaseKind::Other,
-                         "raycast/commit_register");
+  obs::ScopedPhase phase(config_.profiler, "raycast/commit_register");
   AnalysisCounters local;
   std::vector<AnalysisStep> steps;
   // The constituent sets were just discovered by this launch's

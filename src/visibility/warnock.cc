@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/executor.h"
 #include "obs/lifecycle.h"
 #include "obs/profile.h"
 #include "obs/recorder.h"
@@ -13,9 +12,6 @@ namespace visrt {
 namespace {
 /// Serialized size of one history entry shipped in a response.
 constexpr std::uint64_t kEntryMetaBytes = 32;
-/// Minimum constituent sets per shard when the visit scan forks onto the
-/// analysis executor.
-constexpr std::size_t kSetGrain = 8;
 } // namespace
 
 WarnockEngine::WarnockEngine(const EngineConfig& config)
@@ -168,8 +164,7 @@ MaterializeResult WarnockEngine::materialize(const Requirement& req,
     obs::ScopedSpan span(config_.recorder, obs::SpanKind::Phase,
                          "accel_lookup", ctx.task, ctx.analysis_node, &local,
                          &out.steps);
-    obs::ScopedPhase phase(config_.profiler, obs::PhaseKind::Other,
-                           "warnock/accel_lookup");
+    obs::ScopedPhase phase(config_.profiler, "warnock/accel_lookup");
     leaves = lookup(fs, req, dom, local);
   }
 
@@ -180,8 +175,7 @@ MaterializeResult WarnockEngine::materialize(const Requirement& req,
     obs::ScopedSpan span(config_.recorder, obs::SpanKind::Phase,
                          "eqset_refine", ctx.task, ctx.analysis_node, &local,
                          &out.steps);
-    obs::ScopedPhase phase(config_.profiler, obs::PhaseKind::Other,
-                           "warnock/eqset_refine");
+    obs::ScopedPhase phase(config_.profiler, "warnock/eqset_refine");
     for (std::uint32_t id : leaves) {
       if (dom.contains(fs.nodes[id].dom)) {
         inside_ids.push_back(id);
@@ -204,75 +198,42 @@ MaterializeResult WarnockEngine::materialize(const Requirement& req,
     obs::ScopedSpan span(config_.recorder, obs::SpanKind::Phase,
                          "history_walk", ctx.task, ctx.analysis_node, &local,
                          &out.steps);
-    // Deterministic reduction: the pure per-set interference tests append
-    // into per-shard buffers across the executor; step construction,
-    // painting and data merging fold the buffers sequentially in set
-    // order, making the emitted steps and dependences bit-identical to
-    // the inline loop.
-    struct VisitShard {
-      std::vector<AnalysisCounters> counters; ///< one per set in the shard
-      /// (set index, history entry) pairs, appended in scan order.
-      std::vector<std::pair<std::uint32_t, std::uint32_t>> hits;
-    };
-    sharded_reduce<VisitShard>(
-        config_.executor, inside_ids.size(), kSetGrain, config_.shard_batch,
-        [&](VisitShard& shard, std::size_t begin, std::size_t end) {
-          shard.counters.resize(end - begin);
-          for (std::size_t i = begin; i < end; ++i) {
-            const EqSetNode& n = fs.nodes[inside_ids[i]];
-            if (n.dom.empty()) continue;
-            AnalysisCounters& c = shard.counters[i - begin];
-            for (std::size_t h = 0; h < n.history.size(); ++h) {
-              if (entry_depends(n.history[h], n.dom, req.privilege, c))
-                shard.hits.emplace_back(static_cast<std::uint32_t>(i),
-                                        static_cast<std::uint32_t>(h));
-            }
-          }
-        },
-        [&](VisitShard& shard, std::size_t, std::size_t begin,
-            std::size_t end) {
-          std::size_t cursor = 0;
-          for (std::size_t i = begin; i < end; ++i) {
-            EqSetNode& n = fs.nodes[inside_ids[i]];
-            if (n.dom.empty()) continue;
-            AnalysisStep step;
-            step.owner = n.owner;
-            ++step.counters.eqset_visits;
-            step.counters += shard.counters[i - begin];
-            step.eqset = inside_ids[i];
-            for (; cursor < shard.hits.size() && shard.hits[cursor].first == i;
-                 ++cursor) {
-              const HistEntry& e = n.history[shard.hits[cursor].second];
-              add_dependence(out.dependences, e.task);
-              if (obs::kProvenanceEnabled && config_.provenance &&
-                  e.task != kInvalidLaunch) {
-                obs::EdgeProvenance p;
-                p.from = e.task;
-                p.phase = obs::ProvPhase::EqSetVisit;
-                p.region = req.region.index;
-                p.eqset = inside_ids[i];
-                p.field = req.field;
-                p.prev = e.priv;
-                p.cur = req.privilege;
-                out.provenance.push_back(p);
-              }
-            }
-            RegionData<double> piece;
-            if (paint_values) {
-              piece = RegionData<double>::filled(n.dom, 0.0);
-              for (const HistEntry& e : n.history) {
-                if (e.values.has_value()) paint_entry(piece, e, step.counters);
-              }
-            }
-            step.meta_bytes = 64 + kEntryMetaBytes * n.history.size();
-            out.steps.push_back(std::move(step));
-            if (paint_values)
-              data = data.empty() ? std::move(piece) : data.merged_with(piece);
-          }
-        },
-        obs::TaskTag{ctx.task, req.field},
-        ReducePhases{config_.profiler, "warnock/set_scan",
-                     "warnock/visit_merge"});
+    obs::ScopedPhase phase(config_.profiler, "warnock/set_visit");
+    for (std::uint32_t id : inside_ids) {
+      const EqSetNode& n = fs.nodes[id];
+      if (n.dom.empty()) continue;
+      AnalysisStep step;
+      step.owner = n.owner;
+      ++step.counters.eqset_visits;
+      step.eqset = id;
+      for (const HistEntry& e : n.history) {
+        if (!entry_depends(e, n.dom, req.privilege, step.counters)) continue;
+        add_dependence(out.dependences, e.task);
+        if (obs::kProvenanceEnabled && config_.provenance &&
+            e.task != kInvalidLaunch) {
+          obs::EdgeProvenance p;
+          p.from = e.task;
+          p.phase = obs::ProvPhase::EqSetVisit;
+          p.region = req.region.index;
+          p.eqset = id;
+          p.field = req.field;
+          p.prev = e.priv;
+          p.cur = req.privilege;
+          out.provenance.push_back(p);
+        }
+      }
+      RegionData<double> piece;
+      if (paint_values) {
+        piece = RegionData<double>::filled(n.dom, 0.0);
+        for (const HistEntry& e : n.history) {
+          if (e.values.has_value()) paint_entry(piece, e, step.counters);
+        }
+      }
+      step.meta_bytes = 64 + kEntryMetaBytes * n.history.size();
+      out.steps.push_back(std::move(step));
+      if (paint_values)
+        data = data.empty() ? std::move(piece) : data.merged_with(piece);
+    }
   }
 
   if (config_.track_values) {
@@ -296,8 +257,7 @@ std::vector<AnalysisStep> WarnockEngine::commit(
   FieldState& fs = field_state(req.field);
   const IntervalSet& dom = config_.forest->domain(req.region);
 
-  obs::ScopedPhase phase(config_.profiler, obs::PhaseKind::Other,
-                         "warnock/commit_register");
+  obs::ScopedPhase phase(config_.profiler, "warnock/commit_register");
   AnalysisCounters local;
   std::vector<AnalysisStep> steps;
   std::vector<std::uint32_t> leaves;

@@ -7,8 +7,8 @@
 // across commits: a refactor of the analysis stack must leave every line
 // untouched.
 //
-// On a mismatch the test writes the full actual output next to the test
-// binary's working directory as analysis_outputs.golden.actual; after an
+// On a mismatch the test writes the full actual output to
+// analysis_outputs.golden.actual in its working directory; after an
 // intended change, review the diff and copy that file over the golden.
 #include <gtest/gtest.h>
 

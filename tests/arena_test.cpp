@@ -1,8 +1,7 @@
 // The chunked bump allocator (common/arena.h) behind the dependence-edge
 // and per-launch scratch records: alignment, oversized fallback chunks,
 // reset()-with-retained-chunks reuse (the steady-state no-malloc
-// contract), the ArenaAllocator container bridge, the per-worker arena
-// pattern under ThreadSanitizer (label: concurrency), and the
+// contract), the ArenaAllocator container bridge, and the
 // use-after-reset rails — 0xDD poisoning in debug builds, real ASan
 // poisoning when AddressSanitizer is on.
 #include <gtest/gtest.h>
@@ -14,7 +13,6 @@
 #include <vector>
 
 #include "common/arena.h"
-#include "common/executor.h"
 
 namespace visrt {
 namespace {
@@ -138,43 +136,6 @@ TEST(ArenaAllocator, EqualityFollowsTheArena) {
   // Converting constructor (what container rebinding uses).
   ArenaAllocator<long> rebound{ArenaAllocator<int>(&a)};
   EXPECT_EQ(rebound.arena(), &a);
-}
-
-TEST(Arena, PerWorkerArenasAreRaceFreeUnderTheExecutor) {
-  // The documented parallel pattern: one arena per shard, workers touch
-  // only their own.  Run with ThreadSanitizer in CI (label: concurrency).
-  Executor ex(8);
-  const std::size_t n = 256;
-  const std::size_t chunks = shard_count(&ex, n, /*grain=*/1, /*batch=*/1);
-  ASSERT_GT(chunks, 1u);
-  std::vector<Arena> arenas(chunks);
-  std::vector<std::vector<std::span<std::uint64_t>>> out(chunks);
-  for (int round = 0; round < 4; ++round) {
-    for (Arena& a : arenas) a.reset();
-    for (auto& spans : out) spans.clear();
-    sharded_for(&ex, n, /*grain=*/1, /*batch=*/1,
-                [&](std::size_t c, std::size_t begin, std::size_t end) {
-                  for (std::size_t i = begin; i < end; ++i) {
-                    std::span<std::uint64_t> s =
-                        arenas[c].make_span<std::uint64_t>(i % 7 + 1);
-                    for (std::uint64_t& v : s) v = i;
-                    out[c].push_back(s);
-                  }
-                });
-    // Join done: every span is intact and owned by its shard's arena.
-    std::size_t total = 0;
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const auto [begin, end] = shard_range(n, chunks, c);
-      ASSERT_EQ(out[c].size(), end - begin);
-      for (std::size_t k = 0; k < out[c].size(); ++k) {
-        const std::size_t i = begin + k;
-        ASSERT_EQ(out[c][k].size(), i % 7 + 1);
-        for (std::uint64_t v : out[c][k]) ASSERT_EQ(v, i);
-        total += out[c][k].size();
-      }
-    }
-    EXPECT_GT(total, n);
-  }
 }
 
 TEST(Arena, UseAfterResetIsPoisoned) {

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <set>
 #include <sstream>
-#include <thread>
 
 #include "json_util.h"
 #include "obs/metrics.h"
@@ -43,79 +42,6 @@ TEST(Recorder, ScopedSpanOnNullOrDisabledRecorderIsANoOp) {
     local.eqset_visits += 1;
   }
   EXPECT_TRUE(r.spans().empty());
-}
-
-TEST(Recorder, WorkerSpansAdoptTheParentHint) {
-  // A worker lane has no open span of its own; its first span must nest
-  // under the hint (the launch span the submitting thread had open),
-  // while spans on the submitting thread keep nesting off its stack.
-  obs::Recorder r;
-  r.enable();
-  obs::ScopedSpan launch(&r, obs::SpanKind::Launch, "task", 0, 0);
-  std::thread worker([&] {
-    obs::ScopedSpan mat(&r, obs::SpanKind::Materialize, "materialize", 0, 0,
-                        nullptr, nullptr, launch.id());
-    obs::ScopedSpan phase(&r, obs::SpanKind::Phase, "history_walk", 0, 0);
-  });
-  worker.join();
-  // The (still open) launch span is index 0; the worker's spans follow in
-  // stamp order: materialize under the hint, then its phase child.
-  ASSERT_EQ(r.spans().size(), 3u);
-  EXPECT_EQ(r.spans()[1].kind, obs::SpanKind::Materialize);
-  EXPECT_EQ(r.spans()[1].parent, launch.id());
-  EXPECT_EQ(r.spans()[2].kind, obs::SpanKind::Phase);
-  EXPECT_EQ(r.spans()[2].parent, 1u);
-}
-
-TEST(Recorder, ConcurrentEmissionSerializesToValidStampedJson) {
-  // Two workers interleave span emission; the recorder must serialize to
-  // valid JSON with strictly monotonic stamps and per-thread nesting kept
-  // intact (regression test for the span stack races of the sequential
-  // recorder).
-  obs::Recorder r;
-  r.enable();
-  constexpr int kSpansPerWorker = 200;
-  auto emit = [&](NodeID node) {
-    for (int i = 0; i < kSpansPerWorker; ++i) {
-      AnalysisCounters local;
-      obs::ScopedSpan outer(&r, obs::SpanKind::Materialize, "materialize",
-                            static_cast<LaunchID>(i), node, &local);
-      obs::ScopedSpan inner(&r, obs::SpanKind::Phase, "history_walk",
-                            static_cast<LaunchID>(i), node, &local);
-      local.history_entries += 1;
-    }
-  };
-  std::thread a([&] { emit(1); });
-  std::thread b([&] { emit(2); });
-  a.join();
-  b.join();
-
-  ASSERT_EQ(r.spans().size(), 4u * kSpansPerWorker);
-  for (std::size_t i = 0; i < r.spans().size(); ++i) {
-    const obs::Span& span = r.spans()[i];
-    // Stamps are the begin order: spans_[i].stamp == i by construction.
-    EXPECT_EQ(span.stamp, i);
-    // Nesting never crosses threads: each phase's parent is a materialize
-    // span emitted by the same node.
-    if (span.kind == obs::SpanKind::Phase) {
-      ASSERT_LT(span.parent, r.spans().size());
-      const obs::Span& parent = r.spans()[span.parent];
-      EXPECT_EQ(parent.kind, obs::SpanKind::Materialize);
-      EXPECT_EQ(parent.node, span.node);
-      EXPECT_EQ(parent.launch, span.launch);
-    }
-  }
-
-  std::string json = obs::spans_json(r);
-  auto parsed = testjson::parse(json);
-  ASSERT_TRUE(parsed.has_value()) << "spans_json emitted invalid JSON";
-  ASSERT_TRUE(parsed->is_array());
-  ASSERT_EQ(parsed->array().size(), r.spans().size());
-  for (std::size_t i = 0; i < parsed->array().size(); ++i) {
-    const testjson::Value& v = parsed->array()[i];
-    EXPECT_EQ(static_cast<std::size_t>(v.at("stamp").number()), i);
-    EXPECT_TRUE(v.at("parent").is_null() || v.at("parent").is_number());
-  }
 }
 
 TEST(Recorder, ScopedSpanCapturesLocalDeltaAndStepSuffix) {

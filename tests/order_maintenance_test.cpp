@@ -271,8 +271,8 @@ TEST(OrderMaintenance, RemapScatteredRetirement) {
 
 TEST(OrderMaintenance, ConcurrentConstQueries) {
   // precedes() is const and must be safe to call from many threads once
-  // the structure is quiescent (the spy's sweep does exactly this under
-  // the parallel executor).  stats() first forces label finalization.
+  // the structure is quiescent (concurrent readers of one finished
+  // verification).  stats() first forces label finalization.
   Rng rng(99);
   const std::size_t n = 300;
   OrderMaintenance om;

@@ -220,56 +220,6 @@ TEST(Tracing, DisabledTracingIsNoop) {
   EXPECT_EQ(rt.traced_launches(), 0u);
 }
 
-TEST(Tracing, DeterministicUnderParallelAnalysis) {
-  // Trace capture, replay and invalidation are driven by launch
-  // fingerprints computed on the issuing thread; sharding the analysis
-  // across worker lanes must not change which launches replay, the
-  // dependence DAG, or the final values.
-  auto run = [](unsigned threads) {
-    RuntimeConfig cfg = traced_config(true);
-    cfg.analysis_threads = threads;
-    auto rt = std::make_unique<Runtime>(cfg);
-    Fixture s = build(*rt);
-    for (int iter = 0; iter < 5; ++iter) {
-      rt->begin_trace(7);
-      run_iteration(*rt, s);
-      rt->end_trace();
-      rt->end_iteration();
-    }
-    return std::make_pair(std::move(rt), s);
-  };
-  // Capture the sequential fingerprints once; observe()/finish() mutate
-  // the runtime, so the parallel runs compare against these snapshots.
-  auto [seq, ss] = run(1);
-  const std::size_t seq_traced = seq->traced_launches();
-  const LaunchID seq_tasks = seq->dep_graph().task_count();
-  std::vector<std::vector<LaunchID>> seq_preds;
-  for (LaunchID i = 0; i < seq_tasks; ++i) {
-    auto p = seq->dep_graph().preds(i);
-    seq_preds.emplace_back(p.begin(), p.end());
-  }
-  const RegionData<double> seq_values = seq->observe(ss.region, ss.field);
-  const RunStats seq_stats = seq->finish();
-
-  for (unsigned threads : {2u, 8u}) {
-    auto [par, sp] = run(threads);
-    EXPECT_EQ(par->traced_launches(), seq_traced) << "threads=" << threads;
-    ASSERT_EQ(par->dep_graph().task_count(), seq_tasks);
-    for (LaunchID i = 0; i < seq_tasks; ++i) {
-      auto a = par->dep_graph().preds(i);
-      EXPECT_TRUE(std::equal(a.begin(), a.end(), seq_preds[i].begin(),
-                             seq_preds[i].end()))
-          << "threads=" << threads << " launch " << i;
-    }
-    EXPECT_EQ(par->observe(sp.region, sp.field), seq_values)
-        << "threads=" << threads;
-    RunStats p = par->finish();
-    EXPECT_EQ(p.messages, seq_stats.messages) << "threads=" << threads;
-    EXPECT_EQ(p.total_time_s, seq_stats.total_time_s)
-        << "threads=" << threads;
-  }
-}
-
 TEST(Tracing, WorksUnderDcr) {
   RuntimeConfig cfg = traced_config(true);
   cfg.dcr = true;
