@@ -5,6 +5,9 @@
 // apparently-sequential semantics to real workloads.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "apps/circuit.h"
 #include "apps/pennant.h"
 #include "apps/stencil.h"
@@ -15,7 +18,13 @@ namespace {
 struct AppParam {
   Algorithm algorithm;
   bool dcr;
+  // gtest names each instance after the raw bytes of its parameter. Spell
+  // the tail padding out as zeroed bytes so those names are the same in
+  // every run instead of carrying whatever the allocator left there.
+  std::uint8_t reserved[3] = {};
 };
+static_assert(std::has_unique_object_representations_v<AppParam>,
+              "AppParam must have no padding bytes");
 
 RuntimeConfig app_config(const AppParam& p, std::uint32_t nodes) {
   RuntimeConfig cfg;
