@@ -362,14 +362,8 @@ bool load_spec(const std::string& path, fuzz::ProgramSpec& spec) {
 /// Render the provenance of the direct edge from -> to, or a placeholder.
 std::string edge_provenance_line(const Runtime& rt, LaunchID from,
                                  LaunchID to) {
-#if VISRT_PROVENANCE
   if (const obs::EdgeProvenance* p = rt.dep_graph().provenance(from, to))
     return describe_provenance(*p, rt.forest());
-#else
-  (void)rt;
-  (void)from;
-  (void)to;
-#endif
   return "(no provenance recorded)";
 }
 
@@ -614,7 +608,7 @@ int run_inspect(std::vector<std::string> args) {
               rt.dep_graph().task_count(), rt.dep_graph().edge_count(),
               rt.dep_graph().provenance_count());
   if (ledger.event_count() == 0)
-    std::printf("(no lifecycle events: provenance compiled out?)\n");
+    std::printf("(no lifecycle events)\n");
 
   for (FieldID field : ledger.fields()) {
     obs::LifecycleSummary s = ledger.summary(field);
@@ -678,7 +672,7 @@ int run_inspect(std::vector<std::string> args) {
         << ",\"launches\":" << rt.dep_graph().task_count()
         << ",\"dep_edges\":" << rt.dep_graph().edge_count()
         << ",\"provenance\":{\"enabled\":"
-        << (obs::kProvenanceEnabled ? "true" : "false")
+        << (rt.config().provenance ? "true" : "false")
         << ",\"edges_annotated\":" << rt.dep_graph().provenance_count()
         << "},\"lifecycle\":" << ledger.json()
         << ",\"messages\":" << messages.json() << ",\"eqset_series\":{";
@@ -749,10 +743,6 @@ int run_profile(std::vector<std::string> args) {
   Algorithm engine = engine_override.value_or(
       is_app ? Algorithm::RayCast : spec.subject);
 
-  if (!obs::kProfileEnabled)
-    std::printf("(profiler compiled out: -DVISRT_PROFILE=OFF; timings "
-                "below are empty)\n");
-
   std::unique_ptr<Runtime> owned;
   if (is_app) {
     RuntimeConfig cfg;
@@ -817,11 +807,9 @@ int run_profile(std::vector<std::string> args) {
               "%zu dependence edges ==\n",
               target.c_str(), algorithm_name(engine), dcr ? " +DCR" : "",
               nodes, st.launches, st.dep_edges);
-  std::printf("analysis wall %.4f s", st.analysis_wall_s);
-  if (obs::kProfileEnabled)
-    std::printf("  coverage %.1f%%", report.coverage * 100.0);
-  std::printf("\n");
-  if (obs::kProfileEnabled && !report.phases.empty()) {
+  std::printf("analysis wall %.4f s  coverage %.1f%%\n", st.analysis_wall_s,
+              report.coverage * 100.0);
+  if (!report.phases.empty()) {
     // Where the time goes, largest phase first.
     std::vector<const obs::PhaseTotal*> phases;
     for (const obs::PhaseTotal& p : report.phases) phases.push_back(&p);
@@ -848,7 +836,7 @@ int run_profile(std::vector<std::string> args) {
   if (!json_path.empty()) {
     std::ostringstream js;
     js << "{\"schema_version\":1,\"enabled\":"
-       << (obs::kProfileEnabled ? "true" : "false") << ",\"target\":\""
+       << (profiler.enabled() ? "true" : "false") << ",\"target\":\""
        << obs::json_escape(target) << "\",\"engine\":\""
        << algorithm_name(engine) << "\",\"dcr\":" << (dcr ? "true" : "false")
        << ",\"nodes\":" << nodes << ",\"launches\":" << st.launches

@@ -46,7 +46,7 @@ struct Execution {
   RunResult result;
   /// Record provenance/ledgers during the run.  On by default so the
   /// differential checks can annotate precision mismatches with the
-  /// provenance of the offending edge; inert when compiled out.
+  /// provenance of the offending edge.
   bool provenance = true;
   bool telemetry = false;
   bool profile = false;
@@ -367,7 +367,6 @@ DiffReport check_program(const ProgramSpec& spec) {
     std::ostringstream os;
     os << "dependence edge " << v->earlier << " -> " << v->later
        << " joins non-interfering launches";
-#if VISRT_PROVENANCE
     // Provenance diff of the offending edge: where the subject emitted it
     // vs. the ground truth (which, for an imprecise edge, has no
     // interference at all).
@@ -377,7 +376,6 @@ DiffReport check_program(const ProgramSpec& spec) {
          << describe_provenance(*p, subject.runtime->forest())
          << "; ground truth: no interference]";
     }
-#endif
     return {FailureKind::Precision, os.str()};
   }
   if (spy.schedule_overlaps > 0) {

@@ -83,11 +83,10 @@ RunResult run_program(const ProgramSpec& spec);
 /// `visrt_cli explain` / `inspect`).
 struct LiveRunOptions {
   /// Record dependence provenance, the lifecycle ledger and the message
-  /// ledger (inert when the build has VISRT_PROVENANCE off).
+  /// ledger.
   bool provenance = true;
   bool telemetry = false;
-  /// Enable the analysis profiler (phase attribution; inert when the
-  /// build has VISRT_PROFILE off).
+  /// Enable the analysis profiler (phase attribution).
   bool profile = false;
   /// Override the spec's subject engine.
   std::optional<Algorithm> subject;

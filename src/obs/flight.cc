@@ -1,7 +1,5 @@
 #include "obs/flight.h"
 
-#if VISRT_FLIGHT
-
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -45,9 +43,43 @@ struct FlightRing {
 std::atomic<std::uint64_t> g_seq{0};
 std::atomic<std::uint64_t> g_last_launch{0}; ///< breadcrumb for CheckFailure
 
-PerThread<FlightRing>& rings() {
-  static PerThread<FlightRing> instance;
-  return instance;
+// Every ring ever allocated, and the free ones (rings of exited threads,
+// most recently freed last).  Leaked on purpose: thread_local leases and
+// crash dumps may outlive static destruction.
+struct RingPool {
+  std::mutex mu;
+  std::vector<FlightRing*> all;
+  std::vector<FlightRing*> free;
+};
+
+RingPool& pool() {
+  static RingPool* instance = new RingPool;
+  return *instance;
+}
+
+// The calling thread's ring, returned to the free stack at thread exit.
+struct RingLease {
+  FlightRing* ring = nullptr;
+  ~RingLease() {
+    if (ring == nullptr) return;
+    std::lock_guard<std::mutex> lock(pool().mu);
+    pool().free.push_back(ring);
+  }
+};
+
+FlightRing& local_ring() {
+  thread_local RingLease lease;
+  if (lease.ring != nullptr) return *lease.ring;
+  RingPool& p = pool();
+  std::lock_guard<std::mutex> lock(p.mu);
+  if (p.free.empty()) {
+    p.all.push_back(new FlightRing);
+    lease.ring = p.all.back();
+  } else {
+    lease.ring = p.free.back();
+    p.free.pop_back();
+  }
+  return *lease.ring;
 }
 
 std::atomic<FlightContextProvider> g_context_provider{nullptr};
@@ -97,7 +129,7 @@ void fatal_signal_handler(int sig) {
 void flight_record(FlightKind kind, std::uint64_t a, std::uint64_t b) {
   if (kind == FlightKind::Launch)
     g_last_launch.store(a, std::memory_order_relaxed);
-  FlightRing& ring = rings().local();
+  FlightRing& ring = local_ring();
   const std::uint64_t seq = g_seq.fetch_add(1, std::memory_order_relaxed) + 1;
   const std::uint64_t at =
       ring.head.fetch_add(1, std::memory_order_relaxed) %
@@ -115,8 +147,10 @@ void flight_record(FlightKind kind, std::uint64_t a, std::uint64_t b) {
 
 std::vector<FlightEvent> flight_snapshot() {
   std::vector<FlightEvent> events;
-  rings().for_each([&](const FlightRing& ring) {
-    for (const FlightRing::Slot& slot : ring.slots) {
+  RingPool& p = pool();
+  std::lock_guard<std::mutex> lock(p.mu);
+  for (const FlightRing* ring : p.all) {
+    for (const FlightRing::Slot& slot : ring->slots) {
       FlightEvent ev;
       ev.seq = slot.seq.load(std::memory_order_acquire);
       if (ev.seq == 0) continue;
@@ -127,7 +161,7 @@ std::vector<FlightEvent> flight_snapshot() {
       ev.b = slot.b.load(std::memory_order_relaxed);
       events.push_back(ev);
     }
-  });
+  }
   std::sort(events.begin(), events.end(),
             [](const FlightEvent& x, const FlightEvent& y) {
               return x.seq < y.seq;
@@ -205,5 +239,3 @@ void flight_arm_crash_dumps(std::string_view dir) {
 }
 
 } // namespace visrt::obs
-
-#endif // VISRT_FLIGHT

@@ -22,9 +22,11 @@
 // is individually atomic.  Ordering across threads comes from a global
 // sequence counter stamped into each event.
 //
-// With -DVISRT_FLIGHT=OFF everything here folds to constexpr no-op
-// stubs: no rings, no handlers, no symbols in the binary (the CI
-// flight-off leg asserts this with `nm`).
+// Rings are pooled, never freed: a thread takes the most recently freed
+// ring (or allocates one when none is free) on its first event and
+// returns it when it exits.  The ring count is the peak number of
+// recording threads, not the number ever started, and a dead thread's
+// events stay visible until a new thread overwrites them.
 #pragma once
 
 #include <cstdint>
@@ -32,15 +34,10 @@
 #include <string_view>
 #include <vector>
 
-#ifndef VISRT_FLIGHT
-#define VISRT_FLIGHT 1
-#endif
-
 namespace visrt::obs {
 
-/// Compile-time switch mirroring kProfileEnabled: with
-/// -DVISRT_FLIGHT=OFF this is false and every hook folds away.
-inline constexpr bool kFlightEnabled = VISRT_FLIGHT != 0;
+/// Always true; perfbench/visbench.cpp prints it in its build record.
+inline constexpr bool kFlightEnabled = true;
 
 /// What happened.  The two payload words `a`/`b` are kind-specific:
 ///   Launch        a = launch id              b = statements applied so far
@@ -86,8 +83,6 @@ struct FlightEvent {
 /// handling).
 using FlightContextProvider = std::string (*)();
 
-#if VISRT_FLIGHT
-
 /// Append one event to the calling thread's ring (wait-free: a global
 /// seq fetch_add plus five relaxed stores; overwrites the oldest slot
 /// once the ring is full).
@@ -121,19 +116,5 @@ std::string flight_last_dump_path();
 /// matter how many threads crash.  Idempotent; later calls update the
 /// directory.
 void flight_arm_crash_dumps(std::string_view dir);
-
-#else // !VISRT_FLIGHT — constexpr stubs; no rings, no symbols.
-
-inline void flight_record(FlightKind, std::uint64_t = 0, std::uint64_t = 0) {}
-inline std::vector<FlightEvent> flight_snapshot() { return {}; }
-inline void flight_set_context_provider(FlightContextProvider) {}
-inline std::string flight_dump_json(std::string_view) { return "{}"; }
-inline std::string flight_dump(std::string_view, std::string_view) {
-  return {};
-}
-inline std::string flight_last_dump_path() { return {}; }
-inline void flight_arm_crash_dumps(std::string_view) {}
-
-#endif // VISRT_FLIGHT
 
 } // namespace visrt::obs

@@ -1,7 +1,5 @@
 #include "obs/lifecycle.h"
 
-#if VISRT_PROVENANCE
-
 #include <algorithm>
 #include <sstream>
 
@@ -156,5 +154,3 @@ std::string LifecycleLedger::json() const {
 }
 
 } // namespace visrt::obs
-
-#endif // VISRT_PROVENANCE

@@ -12,8 +12,8 @@
 // exported JSON and Perfetto tracks are a pure function of the program
 // (tests/analysis_golden_test.cpp pins them).
 //
-// Compiled out entirely with -DVISRT_PROVENANCE=OFF (see provenance.h);
-// when compiled in, a disabled ledger costs one branch per event site.
+// Gated at runtime by `RuntimeConfig::provenance`: engines get a ledger
+// pointer only when it is on, so off costs one branch per event site.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "obs/provenance.h"
 
 namespace visrt::obs {
 
@@ -33,13 +32,7 @@ enum class LifecycleEventKind : std::uint8_t {
   Migrate,  ///< a set's metadata was replicated to / adopted by a node
 };
 
-#if VISRT_PROVENANCE
 const char* lifecycle_event_kind_name(LifecycleEventKind kind);
-#else
-inline const char* lifecycle_event_kind_name(LifecycleEventKind) {
-  return "?";
-}
-#endif
 
 /// One lifecycle event.  `depth` is derived by the ledger from the parent
 /// chain (roots are depth 0); `live_after` is the engine's live-set count
@@ -69,7 +62,6 @@ struct LifecycleSummary {
 /// call `record`; a null pointer or a disabled ledger is a no-op.
 class LifecycleLedger {
 public:
-#if VISRT_PROVENANCE
   void enable() { enabled_ = true; }
   bool enabled() const { return enabled_; }
 
@@ -90,18 +82,6 @@ public:
   /// Deterministic JSON: {"summary": {...}, "fields": {"<id>": {summary,
   /// events[]}}}.  Field order is sorted; no timestamps or host state.
   std::string json() const;
-#else
-  void enable() {}
-  bool enabled() const { return false; }
-  void record(LifecycleEventKind, LaunchID, FieldID, EqSetID, EqSetID,
-              NodeID, std::uint64_t) {}
-  std::vector<FieldID> fields() const { return {}; }
-  std::vector<LifecycleEvent> events(FieldID) const { return {}; }
-  std::size_t event_count() const { return 0; }
-  LifecycleSummary summary(FieldID) const { return {}; }
-  LifecycleSummary total() const { return {}; }
-  std::string json() const { return "{}"; }
-#endif
 
 private:
   struct PerField {

@@ -163,11 +163,9 @@ std::string metrics_run_json(const MetricsRunInfo& info, const Runtime& rt,
   os << "}";
 
   // Schema v2: the provenance layer.  Empty-but-present objects when the
-  // run had provenance off (or the build compiled it out), so consumers
-  // can rely on the keys.
+  // run had provenance off, so consumers can rely on the keys.
   os << ",\"provenance\":{\"enabled\":"
-     << (obs::kProvenanceEnabled && rt.config().provenance ? "true"
-                                                           : "false")
+     << (rt.config().provenance ? "true" : "false")
      << ",\"edges_annotated\":" << rt.dep_graph().provenance_count() << "}";
   os << ",\"lifecycle\":" << rt.lifecycle().json();
   os << ",\"messages\":" << rt.message_ledger().json();

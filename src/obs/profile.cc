@@ -1,13 +1,21 @@
 #include "obs/profile.h"
 
-#if VISRT_PROFILE
-
 #include <algorithm>
 #include <sstream>
 
 #include "obs/metrics.h"
 
 namespace visrt::obs {
+
+void Profiler::close(std::string_view label, const Mark& mark) {
+  const std::uint64_t wall = prof_now_ns() - mark.begin_ns;
+  const std::uint64_t nested = recorded_ns_ - mark.recorded_ns;
+  const std::uint64_t self = wall > nested ? wall - nested : 0;
+  recorded_ns_ += self;
+  PhaseTotal& t = phase_slot(label);
+  ++t.events;
+  t.wall_ns += self;
+}
 
 PhaseTotal& Profiler::phase_slot(std::string_view label) {
   auto it = phase_ids_.find(std::string(label));
@@ -81,5 +89,3 @@ std::string Profiler::json(std::uint64_t analysis_wall_ns) const {
 }
 
 } // namespace visrt::obs
-
-#endif // VISRT_PROFILE

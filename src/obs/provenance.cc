@@ -1,7 +1,5 @@
 #include "obs/provenance.h"
 
-#if VISRT_PROVENANCE
-
 namespace visrt::obs {
 
 const char* prov_phase_name(ProvPhase phase) {
@@ -14,5 +12,3 @@ const char* prov_phase_name(ProvPhase phase) {
 }
 
 } // namespace visrt::obs
-
-#endif // VISRT_PROVENANCE

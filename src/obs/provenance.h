@@ -8,12 +8,8 @@
 // header only defines the record, so it sits below the engines the same
 // way counters.h does.
 //
-// Provenance is a compile-time feature: configure with
-// `-DVISRT_PROVENANCE=OFF` and every capture site, the DepGraph store and
-// the lifecycle ledger fold away to nothing (asserted by the CI
-// provenance-off build via `nm`).  When compiled in it is still gated at
-// runtime by `RuntimeConfig::provenance` (default off), costing one branch
-// per edge batch.
+// Provenance is gated at runtime by `RuntimeConfig::provenance` (default
+// off), costing one branch per edge batch.
 #pragma once
 
 #include <cstdint>
@@ -21,14 +17,10 @@
 #include "common/types.h"
 #include "visibility/privilege.h"
 
-#ifndef VISRT_PROVENANCE
-#define VISRT_PROVENANCE 1
-#endif
-
 namespace visrt::obs {
 
-/// True when the provenance layer is compiled in (VISRT_PROVENANCE=1).
-inline constexpr bool kProvenanceEnabled = VISRT_PROVENANCE != 0;
+/// Always true; perfbench/visbench.cpp prints it in its build record.
+inline constexpr bool kProvenanceEnabled = true;
 
 /// The algorithm phase that emitted a dependence edge.  One value per
 /// distinct edge-emission site in the engines.
@@ -54,10 +46,6 @@ struct EdgeProvenance {
   Privilege cur;  ///< consumer's privilege (the requirement)
 };
 
-#if VISRT_PROVENANCE
 const char* prov_phase_name(ProvPhase phase);
-#else
-inline const char* prov_phase_name(ProvPhase) { return "?"; }
-#endif
 
 } // namespace visrt::obs

@@ -1,10 +1,8 @@
 #include "obs/recorder.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/check.h"
-#include "obs/metrics.h"
 
 namespace visrt::obs {
 
@@ -113,36 +111,6 @@ void Recorder::sample(std::size_t series, LaunchID launch, double value) {
   if (!enabled_) return;
   invariant(series < series_.size(), "sample on an unknown series");
   series_[series].push(launch, value);
-}
-
-std::string spans_json(const Recorder& recorder) {
-  std::ostringstream os;
-  os << "[";
-  const std::vector<Span>& spans = recorder.spans();
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    const Span& s = spans[i];
-    if (i != 0) os << ",";
-    os << "{\"stamp\":" << s.stamp << ",\"kind\":\""
-       << span_kind_name(s.kind) << "\",\"name\":\"" << json_escape(s.name)
-       << "\",\"parent\":";
-    if (s.parent == kInvalidSpan) {
-      os << "null";
-    } else {
-      os << s.parent;
-    }
-    os << ",\"launch\":" << s.launch << ",\"node\":" << s.node
-       << ",\"counters\":{";
-    bool first = true;
-    for_each_counter(s.counters, [&](const char* name, std::uint64_t value) {
-      if (value == 0) return;
-      if (!first) os << ",";
-      first = false;
-      os << "\"" << name << "\":" << value;
-    });
-    os << "}}";
-  }
-  os << "]";
-  return os.str();
 }
 
 } // namespace visrt::obs

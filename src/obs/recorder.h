@@ -1,21 +1,23 @@
 // visrt/obs/recorder.h
 //
-// The telemetry recorder: a low-overhead span/event log plus bounded
-// counter time-series, populated by the runtime and the coherence engines
-// while a run executes.
+// The telemetry recorder and the one instrumentation scope that feeds it:
 //
 //   - Spans mark one unit of analysis on the launch clock: the runtime
 //     opens a Launch span per task launch with Materialize/Commit children
-//     per region requirement, and each engine opens Phase spans around its
-//     internal phases (history walk, composite capture, eqset refine, BVH
-//     traversal).  Every span captures the AnalysisCounters delta of the
-//     work performed inside it.
+//     per region requirement, and the runtime and every engine open Phase
+//     spans around their internal phases.  Every span captures the
+//     AnalysisCounters delta of the work performed inside it.
 //   - Counter time-series sample run-state gauges (live equivalence sets,
 //     composite views, history entries, messages, per-node analysis busy
 //     time) at launch granularity into bounded ring buffers.
+//   - The recorder owns the Runtime's analysis profiler (obs/profile.h),
+//     so one pointer reaches both sinks.
 //
-// When the recorder is disabled (the default) every hook folds to a single
-// branch on `enabled()`: no allocation, no counter snapshots, no samples.
+// Instrumentation sites open an obs::Scope with one catalog label of the
+// form <layer>/<site> (docs/OBSERVABILITY.md lists them).  The label is the
+// span name when spans are on and the ledger label when the profiler is
+// on; each sink is gated at runtime, and with both off a scope costs one
+// branch per sink and no clock read.
 //
 // A recorder belongs to one Runtime and is written from the thread that
 // drives it; the read accessors (spans(), series()) are meant for after
@@ -31,6 +33,7 @@
 
 #include "common/types.h"
 #include "obs/counters.h"
+#include "obs/profile.h"
 
 namespace visrt::obs {
 
@@ -45,7 +48,7 @@ const char* span_kind_name(SpanKind kind);
 /// begin and end (including work attributed to remote owners).
 struct Span {
   SpanKind kind = SpanKind::Phase;
-  std::string name;             ///< task name or phase label
+  std::string name;             ///< task name or catalog label
   SpanID parent = kInvalidSpan; ///< enclosing span, if any
   LaunchID launch = kInvalidLaunch;
   NodeID node = 0;              ///< analyzing node
@@ -127,8 +130,13 @@ public:
   std::size_t series_count() const { return series_.size(); }
   const CounterSeries& series(std::size_t id) const { return series_[id]; }
 
+  /// The analysis profiler, enabled independently of the spans.
+  Profiler& profiler() { return profiler_; }
+  const Profiler& profiler() const { return profiler_; }
+
 private:
   bool enabled_ = false;
+  Profiler profiler_;
   std::size_t series_capacity_ = 4096;
   std::size_t max_spans_ = 1u << 20;
   /// A span's id is its index (and stamp); spans past max_spans_ are
@@ -142,55 +150,65 @@ private:
   std::unordered_map<std::string, std::size_t> series_ids_;
 };
 
-/// Serialize every recorded span, in stamp order, as a JSON array:
-///   [{"stamp":0,"kind":"launch","name":...,"parent":null|id,
-///     "launch":...,"node":...,"counters":{...nonzero only...}}, ...]
-/// Used by the metrics sink.
-std::string spans_json(const Recorder& recorder);
-
-/// RAII span that captures the counter delta of the code it encloses.
+/// RAII instrumentation scope: one catalog label fed to whichever sinks
+/// are enabled.
 ///
-/// `local` (optional) points at the accumulator the enclosed code
-/// increments directly; `steps` (optional) points at the step vector the
-/// enclosed code appends attributed work to.  On destruction the span's
-/// counters are (local now - local at begin) + sum of counters of steps
-/// appended since begin.  With a null/disabled recorder construction and
-/// destruction cost one branch each.
-class ScopedSpan {
+///   - Spans on: opens a span named `label` whose counters are the
+///     counter delta of the enclosed code.  `local` (optional) points at
+///     the accumulator the enclosed code increments directly; `steps`
+///     (optional) at the step vector it appends attributed work to.  The
+///     span's counters are (local now - local at begin) + the counters of
+///     the steps appended since begin.
+///   - Profiler on: adds one event of `label` with the scope's self time
+///     to the ledger.  Launch scopes skip the ledger, so its coverage stays
+///     a share of the analysis wall, which excludes task bodies.
+///
+/// With a null recorder, or with both sinks off, construction and
+/// destruction cost one branch per sink and no clock read.
+class Scope {
 public:
-  ScopedSpan(Recorder* recorder, SpanKind kind, std::string_view name,
-             LaunchID launch, NodeID node,
-             const AnalysisCounters* local = nullptr,
-             const std::vector<AnalysisStep>* steps = nullptr)
-      : local_(local), steps_(steps) {
-    if (recorder == nullptr || !recorder->enabled()) return;
-    recorder_ = recorder;
-    if (local_ != nullptr) local_begin_ = *local_;
-    if (steps_ != nullptr) steps_begin_ = steps_->size();
-    id_ = recorder_->begin_span(kind, name, launch, node);
+  Scope(Recorder* recorder, SpanKind kind, std::string_view label,
+        LaunchID launch, NodeID node, const AnalysisCounters* local = nullptr,
+        const std::vector<AnalysisStep>* steps = nullptr)
+      : label_(label), local_(local), steps_(steps) {
+    if (recorder == nullptr) return;
+    if (recorder->enabled()) {
+      spans_ = recorder;
+      if (local_ != nullptr) local_begin_ = *local_;
+      if (steps_ != nullptr) steps_begin_ = steps_->size();
+      id_ = recorder->begin_span(kind, label, launch, node);
+    }
+    if (kind != SpanKind::Launch && recorder->profiler().enabled()) {
+      ledger_ = &recorder->profiler();
+      mark_ = ledger_->open();
+    }
   }
 
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
+  Scope(const Scope&) = delete;
+  Scope& operator=(const Scope&) = delete;
 
-  ~ScopedSpan() {
-    if (recorder_ == nullptr) return;
+  ~Scope() {
+    if (ledger_ != nullptr) ledger_->close(label_, mark_);
+    if (spans_ == nullptr) return;
     AnalysisCounters work;
     if (local_ != nullptr) work += *local_ - local_begin_;
     if (steps_ != nullptr) {
       for (std::size_t i = steps_begin_; i < steps_->size(); ++i)
         work += (*steps_)[i].counters;
     }
-    recorder_->end_span(id_, work);
+    spans_->end_span(id_, work);
   }
 
 private:
-  Recorder* recorder_ = nullptr;
+  Recorder* spans_ = nullptr; ///< non-null while a span is open
+  Profiler* ledger_ = nullptr; ///< non-null while the scope is timed
+  std::string_view label_;
   SpanID id_ = kInvalidSpan;
   const AnalysisCounters* local_;
   const std::vector<AnalysisStep>* steps_;
   AnalysisCounters local_begin_;
   std::size_t steps_begin_ = 0;
+  Profiler::Mark mark_;
 };
 
 } // namespace visrt::obs

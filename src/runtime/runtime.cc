@@ -35,19 +35,18 @@ Runtime::Runtime(RuntimeConfig config) : config_(std::move(config)) {
     recorder_.set_series_capacity(config_.telemetry_series_capacity);
     recorder_.enable();
   }
-  if (obs::kProvenanceEnabled && config_.provenance) {
+  if (config_.profile) recorder_.profiler().enable();
+  if (config_.provenance) {
     lifecycle_.enable();
     msg_ledger_.enable(config_.machine.num_nodes);
   }
-  if (obs::kProfileEnabled && config_.profile) profiler_.enable();
   EngineConfig ec;
   ec.track_values = config_.track_values;
   ec.tuning = config_.tuning;
   ec.forest = &forest_;
   ec.recorder = &recorder_;
-  ec.profiler = &profiler_;
-  ec.provenance = obs::kProvenanceEnabled && config_.provenance;
-  ec.lifecycle = ec.provenance ? &lifecycle_ : nullptr;
+  ec.provenance = config_.provenance;
+  ec.lifecycle = config_.provenance ? &lifecycle_ : nullptr;
   ec.max_history_depth = config_.max_history_depth;
   engine_ = make_engine(config_.algorithm, ec);
   issue_tail_.assign(config_.machine.num_nodes, sim::kInvalidOp);
@@ -132,7 +131,7 @@ std::vector<sim::OpID> Runtime::emit_steps(
                                    kRequestBytes + step.meta_bytes,
                                    std::array{remote},
                                    sim::OpCategory::Analysis));
-    if (obs::kProvenanceEnabled && msg_ledger_.enabled()) {
+    if (msg_ledger_.enabled()) {
       msg_ledger_.record(sim::MessageRecord{
           launch, analysis_node, step.owner, kRequestBytes,
           sim::MessageKind::AnalysisRequest, step.eqset});
@@ -157,8 +156,8 @@ LaunchID Runtime::launch(TaskLaunch launch) {
 
   NodeID analysis_node = config_.dcr ? launch.mapped_node : 0;
   AnalysisContext ctx{id, launch.mapped_node, analysis_node};
-  obs::ScopedSpan launch_span(&recorder_, obs::SpanKind::Launch, launch.name,
-                              id, analysis_node);
+  obs::Scope launch_scope(&recorder_, obs::SpanKind::Launch, launch.name, id,
+                          analysis_node);
 
   // Tracing: record the launch fingerprint while capturing; verify it
   // while replaying.  Any mismatch invalidates the template and falls
@@ -249,20 +248,13 @@ LaunchID Runtime::launch(TaskLaunch launch) {
   const auto materialize_start = std::chrono::steady_clock::now();
   std::vector<MaterializeResult> mrs(reqs.size());
   std::vector<std::vector<CopyPlan>> plans(reqs.size());
-  // Self-time attribution: wall around the loop minus the phase time the
-  // engines and copy planning record inside it -- the materialize time
-  // outside every named phase (span bookkeeping, result moves, grouping).
-  const std::uint64_t mat_begin =
-      profiler_.enabled() ? obs::prof_now_ns() : 0;
-  const std::uint64_t mat_inner = profiler_.phase_ns_snapshot();
   for (const std::vector<std::size_t>& group : field_groups) {
     for (std::size_t i : group) {
-      // The span watches mrs[i].steps, which the engine fills inside the
-      // scope: the span's counters are the sum over the requirement's
-      // steps.
-      obs::ScopedSpan span(&recorder_, obs::SpanKind::Materialize,
-                           "materialize", id, analysis_node, nullptr,
-                           &mrs[i].steps);
+      // The scope watches mrs[i].steps, which the engine fills inside it:
+      // the span's counters are the sum over the requirement's steps.
+      obs::Scope scope(&recorder_, obs::SpanKind::Materialize,
+                       "runtime/materialize", id, analysis_node, nullptr,
+                       &mrs[i].steps);
       mrs[i] = engine_->materialize(reqs[i], ctx);
     }
     // Copy planning is per-field InstanceMap work; group order preserves
@@ -270,23 +262,18 @@ LaunchID Runtime::launch(TaskLaunch launch) {
     // planned copies follow program order.
     for (std::size_t i : group) {
       if (reqs[i].privilege.is_reduce()) continue;
-      obs::ScopedPhase plan_phase(&profiler_, "runtime/plan_copies");
+      obs::Scope scope(&recorder_, obs::SpanKind::Phase,
+                       "runtime/plan_copies", id, analysis_node);
       plans[i] = finfos[i]->instances.plan_read(
           launch.mapped_node, forest_.domain(reqs[i].region));
     }
   }
-  if (profiler_.enabled()) {
-    const std::uint64_t wall = obs::prof_now_ns() - mat_begin;
-    const std::uint64_t inner = profiler_.phase_ns_snapshot() - mat_inner;
-    profiler_.phase("runtime/materialize_other",
-                    wall > inner ? wall - inner : 0);
-  }
 
   // Provenance installation is its own attribution phase: a serial pass
-  // over every emitted edge, separated from the graph-emission loop below
-  // so the profiler never double-counts the two.
-  if (obs::kProvenanceEnabled && config_.provenance) {
-    obs::ScopedPhase prov_phase(&profiler_, "runtime/install_provenance");
+  // over every emitted edge, separated from the graph-emission loop below.
+  if (config_.provenance) {
+    obs::Scope scope(&recorder_, obs::SpanKind::Phase,
+                     "runtime/install_provenance", id, analysis_node);
     for (std::size_t i = 0; i < reqs.size(); ++i) {
       // Engines leave the engine byte unset (they cannot name themselves
       // without a layering inversion); stamp it here, then install with
@@ -298,61 +285,60 @@ LaunchID Runtime::launch(TaskLaunch launch) {
     }
   }
 
-  const std::uint64_t emit_begin =
-      profiler_.enabled() ? obs::prof_now_ns() : 0;
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    const Requirement& req = reqs[i];
-    MaterializeResult& mr = mrs[i];
-    record_launch_telemetry(id, launch.name, mr.steps);
-    for (LaunchID d : mr.dependences) add_dependence(all_deps, d);
-    // Under trace replay the analysis result is memoized: the engine still
-    // runs (semantics stay exact and its state advances) but no analysis
-    // work or messages are charged to the machine.
-    std::vector<sim::OpID> req_tails =
-        replay ? std::vector<sim::OpID>{issue}
-               : emit_steps(mr.steps, analysis_node, issue, id);
-    phys.emplace_back(req, std::move(mr.data));
-
-    // Data movement: reads and read-writes need the current version at the
-    // mapped node; reductions accumulate locally into a fresh buffer.
-    // Copies (planned per field in the loop above) start once this
-    // requirement's analysis and the producing tasks (its dependences)
-    // have finished.
-    if (!req.privilege.is_reduce()) {
-      std::vector<sim::OpID> copy_deps = req_tails;
-      SimTime copy_floor = 0;
-      for (LaunchID d : mr.dependences) {
-        sim::OpID e = exec_of(d);
-        if (e == sim::kFrozenOp)
-          copy_floor = std::max(copy_floor, exec_finish_[d - launch_base_]);
-        else if (e != sim::kInvalidOp)
-          copy_deps.push_back(e);
-      }
-      for (const CopyPlan& plan : plans[i]) {
-        std::uint64_t bytes =
-            static_cast<std::uint64_t>(plan.points.volume()) * kElementBytes;
-        sim::OpID copy = graph_.message(
-            plan.src, plan.dst, bytes, copy_deps,
-            plan.kind == CopyPlan::Kind::Copy ? sim::OpCategory::Copy
-                                              : sim::OpCategory::Reduction,
-            copy_floor);
-        copy_ops.push_back(copy);
-        if (obs::kProvenanceEnabled && msg_ledger_.enabled()) {
-          msg_ledger_.record(sim::MessageRecord{
-              id, plan.src, plan.dst, bytes,
-              plan.kind == CopyPlan::Kind::Copy ? sim::MessageKind::Copy
-                                                : sim::MessageKind::Reduction,
-              kNoEqSetID});
-        }
-      }
-    }
-    analysis_tails.insert(analysis_tails.end(), req_tails.begin(),
-                          req_tails.end());
-  }
-  if (profiler_.enabled()) {
+  {
     // The emit loop folds per-requirement engine results and pre-planned
     // copies into the dependence and work graphs in requirement order.
-    profiler_.phase("runtime/emit_graph", obs::prof_now_ns() - emit_begin);
+    obs::Scope scope(&recorder_, obs::SpanKind::Phase, "runtime/emit_graph",
+                     id, analysis_node);
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      const Requirement& req = reqs[i];
+      MaterializeResult& mr = mrs[i];
+      record_launch_telemetry(id, launch.name, mr.steps);
+      for (LaunchID d : mr.dependences) add_dependence(all_deps, d);
+      // Under trace replay the analysis result is memoized: the engine still
+      // runs (semantics stay exact and its state advances) but no analysis
+      // work or messages are charged to the machine.
+      std::vector<sim::OpID> req_tails =
+          replay ? std::vector<sim::OpID>{issue}
+                 : emit_steps(mr.steps, analysis_node, issue, id);
+      phys.emplace_back(req, std::move(mr.data));
+
+      // Data movement: reads and read-writes need the current version at the
+      // mapped node; reductions accumulate locally into a fresh buffer.
+      // Copies (planned per field in the loop above) start once this
+      // requirement's analysis and the producing tasks (its dependences)
+      // have finished.
+      if (!req.privilege.is_reduce()) {
+        std::vector<sim::OpID> copy_deps = req_tails;
+        SimTime copy_floor = 0;
+        for (LaunchID d : mr.dependences) {
+          sim::OpID e = exec_of(d);
+          if (e == sim::kFrozenOp)
+            copy_floor = std::max(copy_floor, exec_finish_[d - launch_base_]);
+          else if (e != sim::kInvalidOp)
+            copy_deps.push_back(e);
+        }
+        for (const CopyPlan& plan : plans[i]) {
+          std::uint64_t bytes =
+              static_cast<std::uint64_t>(plan.points.volume()) * kElementBytes;
+          sim::OpID copy = graph_.message(
+              plan.src, plan.dst, bytes, copy_deps,
+              plan.kind == CopyPlan::Kind::Copy ? sim::OpCategory::Copy
+                                                : sim::OpCategory::Reduction,
+              copy_floor);
+          copy_ops.push_back(copy);
+          if (msg_ledger_.enabled()) {
+            msg_ledger_.record(sim::MessageRecord{
+                id, plan.src, plan.dst, bytes,
+                plan.kind == CopyPlan::Kind::Copy ? sim::MessageKind::Copy
+                                                  : sim::MessageKind::Reduction,
+                kNoEqSetID});
+          }
+        }
+      }
+      analysis_tails.insert(analysis_tails.end(), req_tails.begin(),
+                            req_tails.end());
+    }
   }
   analysis_wall_s_ += seconds_since(materialize_start);
 
@@ -393,50 +379,42 @@ LaunchID Runtime::launch(TaskLaunch launch) {
   // work-graph emission then runs in requirement order.
   const auto commit_start = std::chrono::steady_clock::now();
   std::vector<std::vector<AnalysisStep>> commit_steps(reqs.size());
-  const std::uint64_t com_begin =
-      profiler_.enabled() ? obs::prof_now_ns() : 0;
-  const std::uint64_t com_inner = profiler_.phase_ns_snapshot();
   for (const std::vector<std::size_t>& group : field_groups) {
     for (std::size_t i : group) {
-      obs::ScopedSpan span(&recorder_, obs::SpanKind::Commit, "commit", id,
-                           analysis_node, nullptr, &commit_steps[i]);
+      obs::Scope scope(&recorder_, obs::SpanKind::Commit, "runtime/commit",
+                       id, analysis_node, nullptr, &commit_steps[i]);
       commit_steps[i] = engine_->commit(reqs[i], phys[i].data(), ctx);
     }
     for (std::size_t i : group) {
       const Requirement& req = reqs[i];
       if (req.privilege.is_write()) {
-        obs::ScopedPhase apply_phase(&profiler_, "runtime/apply_instances");
+        obs::Scope scope(&recorder_, obs::SpanKind::Phase,
+                         "runtime/apply_instances", id, analysis_node);
         finfos[i]->instances.record_write(launch.mapped_node,
                                           forest_.domain(req.region));
       } else if (req.privilege.is_reduce()) {
-        obs::ScopedPhase apply_phase(&profiler_, "runtime/apply_instances");
+        obs::Scope scope(&recorder_, obs::SpanKind::Phase,
+                         "runtime/apply_instances", id, analysis_node);
         finfos[i]->instances.record_reduction(launch.mapped_node,
                                               forest_.domain(req.region),
                                               req.privilege.redop);
       }
     }
   }
-  if (profiler_.enabled()) {
-    const std::uint64_t wall = obs::prof_now_ns() - com_begin;
-    const std::uint64_t inner = profiler_.phase_ns_snapshot() - com_inner;
-    profiler_.phase("runtime/commit_other", wall > inner ? wall - inner : 0);
-  }
-  const std::uint64_t commit_emit_begin =
-      profiler_.enabled() ? obs::prof_now_ns() : 0;
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    std::vector<AnalysisStep>& steps = commit_steps[i];
-    record_launch_telemetry(id, launch.name, steps);
-    if (!replay) {
-      std::vector<sim::OpID> commit_tails =
-          emit_steps(steps, analysis_node, exec, id);
-      current_iteration_execs_.insert(current_iteration_execs_.end(),
-                                      commit_tails.begin(),
-                                      commit_tails.end());
+  {
+    obs::Scope scope(&recorder_, obs::SpanKind::Phase, "runtime/emit_commit",
+                     id, analysis_node);
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      std::vector<AnalysisStep>& steps = commit_steps[i];
+      record_launch_telemetry(id, launch.name, steps);
+      if (!replay) {
+        std::vector<sim::OpID> commit_tails =
+            emit_steps(steps, analysis_node, exec, id);
+        current_iteration_execs_.insert(current_iteration_execs_.end(),
+                                        commit_tails.begin(),
+                                        commit_tails.end());
+      }
     }
-  }
-  if (profiler_.enabled()) {
-    profiler_.phase("runtime/emit_commit",
-                    obs::prof_now_ns() - commit_emit_begin);
   }
   analysis_wall_s_ += seconds_since(commit_start);
   if (config_.launch_latency != nullptr) {
@@ -586,7 +564,7 @@ RegionData<double> Runtime::observe(RegionHandle region, FieldID field) {
     launch_log_.push_back(LaunchRecord{{req}, 0});
   MaterializeResult mr = engine_->materialize(req, ctx);
   deps_.add_edges(id, mr.dependences);
-  if (obs::kProvenanceEnabled && config_.provenance) {
+  if (config_.provenance) {
     for (obs::EdgeProvenance& p : mr.provenance) {
       p.engine = static_cast<std::uint8_t>(config_.algorithm);
       deps_.set_provenance(p.from, id, p);
@@ -597,7 +575,7 @@ RegionData<double> Runtime::observe(RegionHandle region, FieldID field) {
 }
 
 std::string Runtime::profile_json() const {
-  return profiler_.json(static_cast<std::uint64_t>(analysis_wall_s_ * 1e9));
+  return profiler().json(static_cast<std::uint64_t>(analysis_wall_s_ * 1e9));
 }
 
 std::vector<std::uint64_t> Runtime::messages_by_node() const {

@@ -32,7 +32,6 @@
 #include "common/hash.h"
 #include "obs/histogram.h"
 #include "obs/lifecycle.h"
-#include "obs/profile.h"
 #include "obs/recorder.h"
 #include "realm/instance_map.h"
 #include "region/region_tree.h"
@@ -63,7 +62,7 @@ struct RuntimeConfig {
   bool track_values = true;
   /// Enable the telemetry recorder: per-launch analysis spans, counter
   /// time-series, enriched Chrome traces and the JSON metrics sink.  Off by
-  /// default; a disabled recorder costs a single branch per span site.
+  /// default; off costs one branch per instrumentation scope.
   bool telemetry = false;
   /// Keep a per-launch record of the analyzed requirements (launch_log())
   /// so the spy verifier (analysis/spy.h) can recompute ground-truth
@@ -77,13 +76,11 @@ struct RuntimeConfig {
   bool order_queries = false;
   /// Record dependence provenance, the eq-set lifecycle ledger and the
   /// per-node message ledger (visrt_cli explain / inspect).  Off by
-  /// default; with -DVISRT_PROVENANCE=OFF the whole layer compiles out
-  /// and this flag is inert.
+  /// default; off costs one branch per emission site.
   bool provenance = false;
-  /// Enable the analysis profiler (obs/profile.h): phase attribution of
-  /// the analysis wall time.  Off by default; a disabled profiler costs one
-  /// branch per hook, and with -DVISRT_PROFILE=OFF the whole layer
-  /// compiles out and this flag is inert.
+  /// Enable the analysis profiler (obs/profile.h): attribution of the
+  /// analysis wall time to the instrumentation scopes' labels.  Off by
+  /// default; off costs one branch per instrumentation scope.
   bool profile = false;
   /// Ring-buffer capacity of each counter series (memory stays bounded for
   /// arbitrarily long runs).
@@ -262,19 +259,19 @@ public:
   LaunchID launch_base() const { return launch_base_; }
   std::size_t resident_launches() const { return next_launch_ - launch_base_; }
 
-  /// The telemetry recorder (enabled iff RuntimeConfig::telemetry).
+  /// The telemetry recorder (spans and series enabled iff
+  /// RuntimeConfig::telemetry).
   obs::Recorder& recorder() { return recorder_; }
   const obs::Recorder& recorder() const { return recorder_; }
 
-  /// The analysis profiler (enabled iff RuntimeConfig::profile and the
-  /// build has VISRT_PROFILE).
-  const obs::Profiler& profiler() const { return profiler_; }
+  /// The analysis profiler, owned by the recorder (enabled iff
+  /// RuntimeConfig::profile).
+  const obs::Profiler& profiler() const { return recorder_.profiler(); }
   /// Full schema-v1 profile report for this run's measured analysis wall
   /// time (see obs::Profiler::json).
   std::string profile_json() const;
 
-  /// Eq-set lifecycle ledger (populated iff RuntimeConfig::provenance and
-  /// the build has VISRT_PROVENANCE).
+  /// Eq-set lifecycle ledger (populated iff RuntimeConfig::provenance).
   const obs::LifecycleLedger& lifecycle() const { return lifecycle_; }
   /// Per-simulated-node analysis/copy message ledger (same gating).
   const sim::MessageLedger& message_ledger() const { return msg_ledger_; }
@@ -400,7 +397,6 @@ private:
   /// into retained chunks.
   Arena scratch_arena_;
   obs::Recorder recorder_;
-  obs::Profiler profiler_;
   obs::LifecycleLedger lifecycle_;
   sim::MessageLedger msg_ledger_;
   std::unique_ptr<CoherenceEngine> engine_;

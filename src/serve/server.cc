@@ -451,7 +451,6 @@ std::string Server::health_json(const StreamSession* fold) const {
      << ",\"max_resident_launches\":" << cap
      << ",\"launches\":" << s.totals.launches
      << ",\"uptime_s\":" << obs::json_number(s.uptime_s);
-#if VISRT_FLIGHT
   {
     std::ostringstream tail;
     std::uint64_t taken = 0;
@@ -475,7 +474,6 @@ std::string Server::health_json(const StreamSession* fold) const {
        << ",\"interval_ms\":" << options_.sampler_interval_ms
        << ",\"series_tail\":[" << tail.str() << "]}";
   }
-#endif
   os << "}";
   return os.str();
 }
@@ -568,7 +566,6 @@ std::string Server::prometheus_text(const StreamSession* fold) const {
 }
 
 std::vector<ServeSample> Server::samples() const {
-#if VISRT_FLIGHT
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<ServeSample> out;
   if (samples_.empty()) return out;
@@ -582,9 +579,6 @@ std::vector<ServeSample> Server::samples() const {
   const std::size_t first = taken >= cap ? samples_next_ : 0;
   for (std::size_t i = 0; i < n; ++i) out.push_back(samples_[(first + i) % cap]);
   return out;
-#else
-  return {};
-#endif
 }
 
 std::string Server::flight_context_json() const {
@@ -615,7 +609,6 @@ std::string Server::flight_context_json() const {
 }
 
 void Server::sampler_start() {
-#if VISRT_FLIGHT
   if (options_.sampler_interval_ms <= 0 || options_.sampler_capacity == 0)
     return;
   {
@@ -625,16 +618,12 @@ void Server::sampler_start() {
     samples_taken_ = 0;
   }
   sampler_thread_ = std::thread([this] { sampler_loop(); });
-#endif
 }
 
 void Server::sampler_stop() {
-#if VISRT_FLIGHT
   if (sampler_thread_.joinable()) sampler_thread_.join();
-#endif
 }
 
-#if VISRT_FLIGHT
 void Server::sampler_loop() {
   const auto interval = std::chrono::milliseconds(options_.sampler_interval_ms);
   const auto poll = std::chrono::milliseconds(
@@ -662,7 +651,6 @@ void Server::sampler_loop() {
     ++samples_taken_;
   }
 }
-#endif
 
 std::string Server::result_json(const StreamSession& session) const {
   const SessionResult& r = session.result();

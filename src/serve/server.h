@@ -50,9 +50,9 @@ struct ServerOptions {
   SessionOptions session;
   /// Stop-flag poll interval for the accept and connection loops.
   int poll_interval_ms = 200;
-  /// Background sampler cadence (daemon mode, VISRT_FLIGHT builds): every
-  /// interval the sampler thread snapshots counters/latency/residency into
-  /// the bounded time-series ring.  0 disables the sampler.
+  /// Background sampler cadence (daemon mode): every interval the
+  /// sampler thread snapshots counters/latency/residency into the bounded
+  /// time-series ring.  0 disables the sampler.
   int sampler_interval_ms = 1000;
   /// Time-series ring capacity (oldest samples overwritten).
   std::size_t sampler_capacity = 600;
@@ -122,7 +122,7 @@ public:
   const SessionLatency& latency() const { return latency_; }
 
   /// Copy of the sampler's time-series ring, oldest first (empty when the
-  /// sampler is disabled or compiled out).
+  /// sampler is disabled).
   std::vector<ServeSample> samples() const;
 
   /// Context JSON attached to flight-recorder crash dumps: the latency
@@ -183,14 +183,12 @@ private:
   /// every session — socket or stdin — records into it wait-free).
   SessionLatency latency_;
 
-#if VISRT_FLIGHT
   /// Sampler state: a bounded ring of ServeSample, guarded by mu_.
   std::thread sampler_thread_;
   std::vector<ServeSample> samples_;
   std::size_t samples_next_ = 0;
   std::uint64_t samples_taken_ = 0;
   void sampler_loop();
-#endif
 };
 
 } // namespace visrt::serve

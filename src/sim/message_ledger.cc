@@ -1,7 +1,5 @@
 #include "sim/message_ledger.h"
 
-#if VISRT_PROVENANCE
-
 #include <sstream>
 
 namespace visrt::sim {
@@ -70,5 +68,3 @@ std::string MessageLedger::json() const {
 }
 
 } // namespace visrt::sim
-
-#endif // VISRT_PROVENANCE

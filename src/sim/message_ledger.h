@@ -10,8 +10,8 @@
 // Records are appended in the runtime's per-requirement emission order, so
 // the ledger's contents are a pure function of the program.
 //
-// Part of the provenance layer: compiled out with -DVISRT_PROVENANCE=OFF,
-// and gated at runtime by `RuntimeConfig::provenance` otherwise.
+// Part of the provenance layer: gated at runtime by
+// `RuntimeConfig::provenance`.
 #pragma once
 
 #include <cstdint>
@@ -19,10 +19,6 @@
 #include <vector>
 
 #include "common/types.h"
-
-#ifndef VISRT_PROVENANCE
-#define VISRT_PROVENANCE 1
-#endif
 
 namespace visrt::sim {
 
@@ -33,11 +29,7 @@ enum class MessageKind : std::uint8_t {
   Reduction,        ///< reduction flush
 };
 
-#if VISRT_PROVENANCE
 const char* message_kind_name(MessageKind kind);
-#else
-inline const char* message_kind_name(MessageKind) { return "?"; }
-#endif
 
 /// One simulated message.
 struct MessageRecord {
@@ -59,7 +51,6 @@ struct NodeTraffic {
 
 class MessageLedger {
 public:
-#if VISRT_PROVENANCE
   void enable(std::size_t num_nodes);
   bool enabled() const { return enabled_; }
 
@@ -74,15 +65,6 @@ public:
   /// Deterministic JSON: {"total": N, "by_kind": {...},
   /// "per_node": [{sent, recv, sent_bytes, recv_bytes}...]}.
   std::string json() const;
-#else
-  void enable(std::size_t) {}
-  bool enabled() const { return false; }
-  void record(const MessageRecord&) {}
-  const std::vector<MessageRecord>& records() const { return records_; }
-  std::vector<NodeTraffic> per_node() const { return {}; }
-  std::vector<std::uint64_t> by_kind() const { return {}; }
-  std::string json() const { return "{}"; }
-#endif
 
 private:
   bool enabled_ = false;

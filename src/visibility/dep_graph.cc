@@ -64,14 +64,12 @@ void DepGraph::retire_prefix(LaunchID new_base) {
   for (std::span<LaunchID>& s : preds_)
     s = compacted.copy_span<LaunchID>(std::span<const LaunchID>(s));
   arena_ = std::move(compacted);
-#if VISRT_PROVENANCE
   for (auto it = prov_.begin(); it != prov_.end();) {
     if (it->first.second < new_base)
       it = prov_.erase(it);
     else
       ++it;
   }
-#endif
   base_ = new_base;
   if (order_) order_->retire_prefix(new_base);
 }
@@ -128,7 +126,6 @@ const OrderMaintenance& DepGraph::order() const {
   return *order_;
 }
 
-#if VISRT_PROVENANCE
 void DepGraph::set_provenance(LaunchID from, LaunchID to,
                               const obs::EdgeProvenance& prov) {
   prov_.emplace(std::make_pair(from, to), prov);
@@ -139,9 +136,7 @@ const obs::EdgeProvenance* DepGraph::provenance(LaunchID from,
   auto it = prov_.find(std::make_pair(from, to));
   return it == prov_.end() ? nullptr : &it->second;
 }
-#endif
 
-#if VISRT_PROVENANCE
 std::string describe_provenance(const obs::EdgeProvenance& prov,
                                 const RegionTreeForest& forest) {
   std::ostringstream os;
@@ -161,6 +156,5 @@ std::string describe_provenance(const obs::EdgeProvenance& prov,
   os << " (" << to_string(prov.prev) << " -> " << to_string(prov.cur) << ")";
   return os.str();
 }
-#endif
 
 } // namespace visrt

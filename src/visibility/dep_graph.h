@@ -89,7 +89,6 @@ public:
   /// retirement.
   std::uint64_t stream_hash() const { return stream_hash_; }
 
-#if VISRT_PROVENANCE
   /// Attach provenance to the edge from -> to.  First record wins (an edge
   /// may be emitted several times through different sets); the edge itself
   /// need not be registered yet — add_edges happens after the merge.
@@ -98,13 +97,6 @@ public:
   /// Provenance of the edge from -> to, or nullptr if none was recorded.
   const obs::EdgeProvenance* provenance(LaunchID from, LaunchID to) const;
   std::size_t provenance_count() const { return prov_.size(); }
-#else
-  void set_provenance(LaunchID, LaunchID, const obs::EdgeProvenance&) {}
-  const obs::EdgeProvenance* provenance(LaunchID, LaunchID) const {
-    return nullptr;
-  }
-  std::size_t provenance_count() const { return 0; }
-#endif
 
 private:
   /// Predecessor lists live in an arena (one allocation per finalized
@@ -123,13 +115,11 @@ private:
   std::map<std::pair<LaunchID, LaunchID>, obs::EdgeProvenance> prov_;
 };
 
-#if VISRT_PROVENANCE
 /// One-line human rendering of an edge's provenance, resolving the region
 /// index against the forest: "warnock eqset-visit via eqset 3 on
 /// field 1 @ nodes[1] (read-write -> read)".  The engine name comes from
 /// the stamped Algorithm value.
 std::string describe_provenance(const obs::EdgeProvenance& prov,
                                 const RegionTreeForest& forest);
-#endif
 
 } // namespace visrt

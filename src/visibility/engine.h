@@ -32,7 +32,6 @@ namespace visrt {
 namespace obs {
 class Recorder;
 class LifecycleLedger;
-class Profiler;
 } // namespace obs
 
 /// One region requirement of a task launch: a region (by handle), one
@@ -131,19 +130,16 @@ struct EngineConfig {
   /// Forest the requirements' region handles resolve against (non-owning;
   /// must outlive the engine).
   const RegionTreeForest* forest = nullptr;
-  /// Telemetry recorder the engine opens phase spans on (non-owning; may
-  /// be null or disabled, in which case every span is a single branch).
+  /// Instrumentation the engine opens its obs::Scope phases on: spans and
+  /// the profiler's ledger, each gated at runtime (non-owning; may be
+  /// null, and with both sinks off every scope costs one branch per sink).
   obs::Recorder* recorder = nullptr;
-  /// Analysis profiler the engine attributes wall time to, one label per
-  /// phase (non-owning; may be null or disabled — then every ScopedPhase
-  /// is a single branch).
-  obs::Profiler* profiler = nullptr;
-  /// Capture per-edge provenance into MaterializeResult::provenance and
-  /// report eq-set lifecycle events to `lifecycle`.  Folds away entirely
-  /// when VISRT_PROVENANCE=0; otherwise one branch per emission site.
+  /// Capture per-edge provenance into MaterializeResult::provenance; one
+  /// branch per emission site.
   bool provenance = false;
   /// Lifecycle ledger to report create/refine/coalesce/migrate events to
-  /// (non-owning; may be null).  Only consulted when `provenance` is set.
+  /// (non-owning).  The runtime sets it exactly when `provenance` is on;
+  /// null means no lifecycle events.
   obs::LifecycleLedger* lifecycle = nullptr;
   /// Bounded-memory streaming: once a live equivalence set's history grows
   /// beyond this many entries, fold the value payloads of the older

@@ -2,7 +2,6 @@
 
 #include "common/check.h"
 #include "obs/lifecycle.h"
-#include "obs/profile.h"
 #include "obs/recorder.h"
 
 namespace visrt {
@@ -14,29 +13,25 @@ namespace {
 /// When `prov` is non-null, one HistoryWalk provenance record per hit is
 /// appended (stamped with `region`/`field`; the dep graph keeps the first
 /// per edge).
-void walk_history(obs::Profiler* profiler,
-                  const std::vector<HistEntry>& history,
+void walk_history(const std::vector<HistEntry>& history,
                   const IntervalSet& dom, const Privilege& priv,
                   RegionData<double>* target, std::vector<LaunchID>& deps,
                   AnalysisCounters& c,
                   std::vector<obs::EdgeProvenance>* prov = nullptr,
                   RegionTreeID region = UINT32_MAX, FieldID field = 0) {
-  {
-    obs::ScopedPhase phase(profiler, "naive/history_scan");
-    for (const HistEntry& e : history) {
-      if (!entry_depends(e, dom, priv, c)) continue;
-      add_dependence(deps, e.task);
-      if (prov != nullptr && e.task != kInvalidLaunch) {
-        obs::EdgeProvenance p;
-        p.from = e.task;
-        p.phase = obs::ProvPhase::HistoryWalk;
-        p.region = region;
-        p.eqset = kNoEqSetID;
-        p.field = field;
-        p.prev = e.priv;
-        p.cur = priv;
-        prov->push_back(p);
-      }
+  for (const HistEntry& e : history) {
+    if (!entry_depends(e, dom, priv, c)) continue;
+    add_dependence(deps, e.task);
+    if (prov != nullptr && e.task != kInvalidLaunch) {
+      obs::EdgeProvenance p;
+      p.from = e.task;
+      p.phase = obs::ProvPhase::HistoryWalk;
+      p.region = region;
+      p.eqset = kNoEqSetID;
+      p.field = field;
+      p.prev = e.priv;
+      p.cur = priv;
+      prov->push_back(p);
     }
   }
   if (target != nullptr) {
@@ -82,9 +77,10 @@ MaterializeResult NaivePaintEngine::materialize(const Requirement& req,
 
   MaterializeResult out;
   AnalysisCounters c;
-  obs::ScopedSpan walk_span(config_.recorder, obs::SpanKind::Phase,
-                            "history_walk", ctx.task, ctx.analysis_node, &c,
-                            nullptr);
+  obs::Scope scope(config_.recorder, obs::SpanKind::Phase,
+                   "naive/history_walk", ctx.task, ctx.analysis_node, &c);
+  std::vector<obs::EdgeProvenance>* prov =
+      config_.provenance ? &out.provenance : nullptr;
   if (req.privilege.is_reduce()) {
     // Reductions accumulate locally; the history is walked only for
     // dependences (Figure 7 line 14-15 plus the dependence analysis the
@@ -93,11 +89,8 @@ MaterializeResult NaivePaintEngine::materialize(const Requirement& req,
       out.data = RegionData<double>::filled(
           dom, reduction_op(req.privilege.redop).identity);
     }
-    walk_history(config_.profiler, fs.history, dom, req.privilege, nullptr, out.dependences, c,
-                 obs::kProvenanceEnabled && config_.provenance
-                     ? &out.provenance
-                     : nullptr,
-                 req.region.index, req.field);
+    walk_history(fs.history, dom, req.privilege, nullptr, out.dependences, c,
+                 prov, req.region.index, req.field);
   } else {
     RegionData<double> data;
     RegionData<double>* target = nullptr;
@@ -105,11 +98,8 @@ MaterializeResult NaivePaintEngine::materialize(const Requirement& req,
       data = RegionData<double>::filled(dom, 0.0);
       target = &data;
     }
-    walk_history(config_.profiler, fs.history, dom, req.privilege, target, out.dependences, c,
-                 obs::kProvenanceEnabled && config_.provenance
-                     ? &out.provenance
-                     : nullptr,
-                 req.region.index, req.field);
+    walk_history(fs.history, dom, req.privilege, target, out.dependences, c,
+                 prov, req.region.index, req.field);
     out.data = std::move(data);
   }
   out.steps.push_back(AnalysisStep{fs.home, c, 0});
@@ -123,7 +113,9 @@ std::vector<AnalysisStep> NaivePaintEngine::commit(
   require(it != fields_.end(), "commit on unregistered field");
   FieldState& fs = it->second;
 
-  obs::ScopedPhase phase(config_.profiler, "naive/commit_register");
+  AnalysisCounters c;
+  obs::Scope scope(config_.recorder, obs::SpanKind::Phase,
+                   "naive/commit_register", ctx.task, ctx.analysis_node, &c);
   HistEntry e;
   e.task = ctx.task;
   e.priv = req.privilege;
@@ -135,7 +127,6 @@ std::vector<AnalysisStep> NaivePaintEngine::commit(
   }
   fs.history.push_back(std::move(e));
 
-  AnalysisCounters c;
   ++c.history_entries; // the append itself
   return {AnalysisStep{fs.home, c, 0}};
 }
@@ -226,17 +217,15 @@ MaterializeResult NaiveWarnockEngine::materialize(const Requirement& req,
   MaterializeResult out;
   AnalysisCounters c;
   {
-    obs::ScopedSpan span(config_.recorder, obs::SpanKind::Phase,
-                         "eqset_refine", ctx.task, ctx.analysis_node, &c,
-                         nullptr);
-    obs::ScopedPhase phase(config_.profiler, "naive/eqset_refine");
+    obs::Scope scope(config_.recorder, obs::SpanKind::Phase,
+                     "naive/eqset_refine", ctx.task, ctx.analysis_node, &c);
     std::size_t before = fs.sets.size();
     refine(fs, dom, c, config_.track_values);
     // Each split removes one set and creates two, so the net growth equals
     // the number of splits and the number of freshly created sets is twice
     // that.
     std::size_t splits = fs.sets.size() - before;
-    if (obs::kProvenanceEnabled && config_.provenance && config_.lifecycle) {
+    if (config_.lifecycle) {
       // Naive sets carry no stable ids (refine rebuilds the vector), so
       // lifecycle events use synthetic ids drawn from the creation counter.
       for (std::size_t k = 0; k < splits; ++k) {
@@ -258,18 +247,15 @@ MaterializeResult NaiveWarnockEngine::materialize(const Requirement& req,
   RegionData<double> data;
   bool build_values = config_.track_values;
   {
-    obs::ScopedSpan span(config_.recorder, obs::SpanKind::Phase,
-                         "history_walk", ctx.task, ctx.analysis_node, &c,
-                         nullptr);
-    obs::ScopedPhase phase(config_.profiler, "naive/set_visit");
+    obs::Scope scope(config_.recorder, obs::SpanKind::Phase,
+                     "naive/set_visit", ctx.task, ctx.analysis_node, &c);
     for (const EqSet& eq : fs.sets) {
       if (!dom.contains(eq.dom) || eq.dom.empty()) continue;
       ++c.eqset_visits;
       for (const HistEntry& e : eq.history) {
         if (!entry_depends(e, eq.dom, req.privilege, c)) continue;
         add_dependence(out.dependences, e.task);
-        if (obs::kProvenanceEnabled && config_.provenance &&
-            e.task != kInvalidLaunch) {
+        if (config_.provenance && e.task != kInvalidLaunch) {
           obs::EdgeProvenance p;
           p.from = e.task;
           p.phase = obs::ProvPhase::EqSetVisit;
@@ -311,7 +297,8 @@ std::vector<AnalysisStep> NaiveWarnockEngine::commit(
   const IntervalSet& dom = config_.forest->domain(req.region);
   AnalysisCounters c;
 
-  obs::ScopedPhase phase(config_.profiler, "naive/commit_register");
+  obs::Scope scope(config_.recorder, obs::SpanKind::Phase,
+                   "naive/commit_register", ctx.task, ctx.analysis_node, &c);
   for (EqSet& eq : fs.sets) {
     // materialize() refined, so each set is inside dom or disjoint from it.
     if (eq.dom.empty() || !dom.contains(eq.dom)) continue;
@@ -357,17 +344,15 @@ MaterializeResult NaiveRayCastEngine::materialize(const Requirement& req,
   FieldState& fs = field_state(req);
   const IntervalSet& dom = config_.forest->domain(req.region);
   AnalysisCounters c;
-  obs::ScopedSpan prune_span(config_.recorder, obs::SpanKind::Phase,
-                             "eqset_prune", ctx.task, ctx.analysis_node, &c,
-                             nullptr);
-  obs::ScopedPhase phase(config_.profiler, "naive/eqset_prune");
+  obs::Scope scope(config_.recorder, obs::SpanKind::Phase,
+                   "naive/eqset_prune", ctx.task, ctx.analysis_node, &c);
   std::size_t before = fs.sets.size();
   std::erase_if(fs.sets, [&](const EqSet& eq) {
     return eq.dom.empty() || dom.contains(eq.dom);
   });
   std::size_t pruned = before - fs.sets.size();
   c.eqsets_pruned += pruned;
-  if (obs::kProvenanceEnabled && config_.provenance && config_.lifecycle) {
+  if (config_.lifecycle) {
     for (std::size_t k = 0; k < pruned; ++k)
       config_.lifecycle->record(obs::LifecycleEventKind::Coalesce, ctx.task,
                                 req.field, kNoEqSetID, kNoEqSetID, fs.home,

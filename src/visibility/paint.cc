@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "obs/lifecycle.h"
-#include "obs/profile.h"
 #include "obs/recorder.h"
 
 namespace visrt {
@@ -166,7 +165,7 @@ void PaintEngine::capture(FieldState& fs, RegionHandle at,
   view->replicated_on.push_back(view->owner);
   view->id = static_cast<EqSetID>(fs.views_created);
 
-  if (obs::kProvenanceEnabled && config_.provenance && config_.lifecycle) {
+  if (config_.lifecycle) {
     for (EqSetID dead : dead_views)
       config_.lifecycle->record(obs::LifecycleEventKind::Coalesce, ctx.task,
                                 fs.id, dead, kNoEqSetID, at_state.owner,
@@ -197,8 +196,7 @@ void PaintEngine::capture(FieldState& fs, RegionHandle at,
                              : 1;
       if (el.view) {
         --fs.views_live;
-        if (obs::kProvenanceEnabled && config_.provenance &&
-            config_.lifecycle)
+        if (config_.lifecycle)
           config_.lifecycle->record(obs::LifecycleEventKind::Coalesce,
                                     ctx.task, fs.id, el.view->id, kNoEqSetID,
                                     at_state.owner, fs.views_live);
@@ -216,7 +214,7 @@ void PaintEngine::capture(FieldState& fs, RegionHandle at,
   adjust_counts(fs, at, added);
   ++fs.views_created;
   ++fs.views_live;
-  if (obs::kProvenanceEnabled && config_.provenance && config_.lifecycle)
+  if (config_.lifecycle)
     config_.lifecycle->record(obs::LifecycleEventKind::Create, ctx.task,
                               fs.id, view_id, kNoEqSetID, view_owner,
                               fs.views_live);
@@ -242,7 +240,9 @@ void PaintEngine::close_subtrees(FieldState& fs,
         // order.  A capture never touches a *sibling's* subtree counts or
         // privilege summary, so each test sees the state it would before
         // any capture.
-        obs::ScopedPhase phase(config_.profiler, "paint/kid_capture");
+        obs::Scope scope(config_.recorder, obs::SpanKind::Phase,
+                         "paint/kid_capture", ctx.task, ctx.analysis_node,
+                         &local, &steps);
         for (RegionHandle child : forest.children(ph)) {
           if (child == next) continue;
           ++local.composite_child_tests;
@@ -258,7 +258,9 @@ void PaintEngine::close_subtrees(FieldState& fs,
       }
       // Off-path partition subtree: capture the whole partition when any
       // open child interferes and overlaps.
-      obs::ScopedPhase phase(config_.profiler, "paint/subtree_capture");
+      obs::Scope scope(config_.recorder, obs::SpanKind::Phase,
+                       "paint/subtree_capture", ctx.task, ctx.analysis_node,
+                       &local, &steps);
       bool need = false;
       for (RegionHandle child : forest.children(ph)) {
         ++local.composite_child_tests;
@@ -294,9 +296,9 @@ MaterializeResult PaintEngine::materialize(const Requirement& req,
   ++local.interval_ops;   // requirement setup
 
   {
-    obs::ScopedSpan span(config_.recorder, obs::SpanKind::Phase,
-                         "composite_capture", ctx.task, ctx.analysis_node,
-                         &local, &out.steps);
+    obs::Scope scope(config_.recorder, obs::SpanKind::Phase,
+                     "paint/composite_capture", ctx.task, ctx.analysis_node,
+                     &local, &out.steps);
     close_subtrees(fs, path, dom, req.privilege, ctx, out.steps, local);
   }
 
@@ -313,9 +315,9 @@ MaterializeResult PaintEngine::materialize(const Requirement& req,
   std::map<NodeID, AnalysisCounters> remote;
 
   {
-    obs::ScopedSpan walk_span(config_.recorder, obs::SpanKind::Phase,
-                              "history_walk", ctx.task, ctx.analysis_node,
-                              &local, &out.steps);
+    obs::Scope scope(config_.recorder, obs::SpanKind::Phase,
+                     "paint/history_walk", ctx.task, ctx.analysis_node,
+                     &local, &out.steps);
     // Gather pass: flatten the path histories into one item list and
     // perform the on-demand view replication — the only mutation of the
     // walk.  Entry pointers stay valid: nothing below reallocates an
@@ -328,7 +330,9 @@ MaterializeResult PaintEngine::materialize(const Requirement& req,
     };
     std::vector<WalkItem> items;
     {
-      obs::ScopedPhase phase(config_.profiler, "paint/item_gather");
+      obs::Scope gather(config_.recorder, obs::SpanKind::Phase,
+                        "paint/item_gather", ctx.task, ctx.analysis_node,
+                        &local, &out.steps);
       for (RegionHandle a : path) {
         auto it = fs.nodes.find(a.index);
         if (it == fs.nodes.end()) continue;
@@ -343,8 +347,7 @@ MaterializeResult PaintEngine::materialize(const Requirement& req,
               fetch.composite_captures = 1;
               out.steps.push_back(
                   AnalysisStep{v.owner, fetch, v.bytes(), v.id});
-              if (obs::kProvenanceEnabled && config_.provenance &&
-                  config_.lifecycle)
+              if (config_.lifecycle)
                 config_.lifecycle->record(obs::LifecycleEventKind::Migrate,
                                           ctx.task, fs.id, v.id, kNoEqSetID,
                                           ctx.analysis_node, fs.views_live);
@@ -361,7 +364,8 @@ MaterializeResult PaintEngine::materialize(const Requirement& req,
     // Test pass: interference tests in history order, collecting the
     // dependences (a sorted set) and their provenance.
     {
-      obs::ScopedPhase phase(config_.profiler, "paint/item_scan");
+      obs::Scope scan(config_.recorder, obs::SpanKind::Phase,
+                      "paint/item_scan", ctx.task, ctx.analysis_node, &local);
       for (const WalkItem& item : items) {
         AnalysisCounters& rc =
             item.from_view || item.direct_owner == ctx.analysis_node
@@ -371,8 +375,7 @@ MaterializeResult PaintEngine::materialize(const Requirement& req,
         if (skips_entry(*item.e)) continue;
         if (!entry_depends(*item.e, dom, req.privilege, rc)) continue;
         add_dependence(out.dependences, item.e->task);
-        if (obs::kProvenanceEnabled && config_.provenance &&
-            item.e->task != kInvalidLaunch) {
+        if (config_.provenance && item.e->task != kInvalidLaunch) {
           obs::EdgeProvenance p;
           p.from = item.e->task;
           p.phase = item.from_view ? obs::ProvPhase::CompositeView
@@ -424,7 +427,9 @@ std::vector<AnalysisStep> PaintEngine::commit(const Requirement& req,
   FieldState& fs = field_state(req.field);
   const IntervalSet& dom = config_.forest->domain(req.region);
 
-  obs::ScopedPhase phase(config_.profiler, "paint/commit_register");
+  AnalysisCounters c;
+  obs::Scope scope(config_.recorder, obs::SpanKind::Phase,
+                   "paint/commit_register", ctx.task, ctx.analysis_node, &c);
   HistEntry e;
   e.task = ctx.task;
   e.priv = req.privilege;
@@ -441,7 +446,6 @@ std::vector<AnalysisStep> PaintEngine::commit(const Requirement& req,
   adjust_counts(fs, req.region, +1);
   add_summary(fs, req.region, req.privilege);
 
-  AnalysisCounters c;
   ++c.history_entries;
   return {AnalysisStep{ctx.mapped_node, c, 0}};
 }

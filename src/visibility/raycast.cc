@@ -5,7 +5,6 @@
 #include "common/check.h"
 #include "common/hash.h"
 #include "obs/lifecycle.h"
-#include "obs/profile.h"
 #include "obs/recorder.h"
 
 namespace visrt {
@@ -38,7 +37,7 @@ void RayCastEngine::initialize_field(RegionHandle root, FieldID field,
   fs.total_created = 1;
   fs.live = 1;
   fs.fallback.insert(fs.sets[0].dom.bounds(), 0);
-  if (obs::kProvenanceEnabled && config_.provenance && config_.lifecycle)
+  if (config_.lifecycle)
     config_.lifecycle->record(obs::LifecycleEventKind::Create, kInvalidLaunch,
                               field, 0, kNoEqSetID, home, fs.live);
   fields_.emplace(field, std::move(fs));
@@ -218,7 +217,7 @@ std::uint32_t RayCastEngine::create_set(FieldState& fs, IntervalSet dom,
   ++fs.live;
   ++charge.eqsets_created;
   accel_insert(fs, id, charge);
-  if (obs::kProvenanceEnabled && config_.provenance && config_.lifecycle)
+  if (config_.lifecycle)
     config_.lifecycle->record(obs::LifecycleEventKind::Create, launch, fs.id,
                               id, parent, owner, fs.live);
   return id;
@@ -253,7 +252,7 @@ void RayCastEngine::split_set(FieldState& fs, std::uint32_t id,
   IntervalSet in_dom = fs.sets[id].dom.intersect(cut);
   IntervalSet out_dom = fs.sets[id].dom.subtract(cut);
   NodeID old_owner = fs.sets[id].owner;
-  if (obs::kProvenanceEnabled && config_.provenance && config_.lifecycle)
+  if (config_.lifecycle)
     config_.lifecycle->record(obs::LifecycleEventKind::Refine, launch, fs.id,
                               id, kNoEqSetID, old_owner, fs.live);
   inside_id = create_set(fs, in_dom, inside_owner, launch, id, step.counters);
@@ -351,7 +350,7 @@ std::vector<std::uint32_t> RayCastEngine::split_aligned(
 
   std::vector<std::uint32_t> out;
   NodeID old_owner = fs.sets[id].owner;
-  if (obs::kProvenanceEnabled && config_.provenance && config_.lifecycle)
+  if (config_.lifecycle)
     config_.lifecycle->record(obs::LifecycleEventKind::Refine, launch, fs.id,
                               id, kNoEqSetID, old_owner, fs.live);
   auto carve = [&](IntervalSet piece_dom) {
@@ -405,10 +404,9 @@ MaterializeResult RayCastEngine::materialize(const Requirement& req,
 
   std::vector<std::uint32_t> hit;
   {
-    obs::ScopedSpan span(config_.recorder, obs::SpanKind::Phase,
-                         "accel_lookup", ctx.task, ctx.analysis_node, &local,
-                         &out.steps);
-    obs::ScopedPhase phase(config_.profiler, "raycast/accel_lookup");
+    obs::Scope scope(config_.recorder, obs::SpanKind::Phase,
+                     "raycast/accel_lookup", ctx.task, ctx.analysis_node,
+                     &local, &out.steps);
     select_accel(fs, req.region, local);
     hit = cast(fs, req.region, dom, local);
   }
@@ -421,10 +419,9 @@ MaterializeResult RayCastEngine::materialize(const Requirement& req,
   std::unordered_map<std::uint32_t, std::size_t> visited_by_split;
   std::vector<std::uint32_t> work(hit.begin(), hit.end());
   {
-    obs::ScopedSpan span(config_.recorder, obs::SpanKind::Phase,
-                         "eqset_refine", ctx.task, ctx.analysis_node, &local,
-                         &out.steps);
-    obs::ScopedPhase phase(config_.profiler, "raycast/eqset_refine");
+    obs::Scope scope(config_.recorder, obs::SpanKind::Phase,
+                     "raycast/eqset_refine", ctx.task, ctx.analysis_node,
+                     &local, &out.steps);
     while (!work.empty()) {
       std::uint32_t id = work.back();
       work.pop_back();
@@ -459,10 +456,9 @@ MaterializeResult RayCastEngine::materialize(const Requirement& req,
   // an independent distributed object, so traffic scales with the number
   // of live sets — the effect that makes coalescing writes pay off.
   {
-    obs::ScopedSpan span(config_.recorder, obs::SpanKind::Phase,
-                         "history_walk", ctx.task, ctx.analysis_node, &local,
-                         &out.steps);
-    obs::ScopedPhase phase(config_.profiler, "raycast/set_visit");
+    obs::Scope scope(config_.recorder, obs::SpanKind::Phase,
+                     "raycast/set_visit", ctx.task, ctx.analysis_node,
+                     &local, &out.steps);
     for (std::uint32_t id : inside_ids) {
       const EqSet& s = fs.sets[id];
       if (s.dom.empty()) continue;
@@ -476,8 +472,7 @@ MaterializeResult RayCastEngine::materialize(const Requirement& req,
       for (const HistEntry& e : s.history) {
         if (!entry_depends(e, s.dom, req.privilege, counters)) continue;
         add_dependence(out.dependences, e.task);
-        if (obs::kProvenanceEnabled && config_.provenance &&
-            e.task != kInvalidLaunch) {
+        if (config_.provenance && e.task != kInvalidLaunch) {
           obs::EdgeProvenance p;
           p.from = e.task;
           p.phase = obs::ProvPhase::EqSetVisit;
@@ -528,10 +523,9 @@ MaterializeResult RayCastEngine::materialize(const Requirement& req,
   // Dominating write: a fresh set covering exactly this region replaces
   // every set it occludes (Figure 11).
   if (req.privilege.is_write() && options_.dominating_writes) {
-    obs::ScopedSpan span(config_.recorder, obs::SpanKind::Phase,
-                         "eqset_prune", ctx.task, ctx.analysis_node, &local,
-                         &out.steps);
-    obs::ScopedPhase phase(config_.profiler, "raycast/eqset_prune");
+    obs::Scope scope(config_.recorder, obs::SpanKind::Phase,
+                     "raycast/eqset_prune", ctx.task, ctx.analysis_node,
+                     &local, &out.steps);
     for (std::uint32_t id : inside_ids) {
       EqSet& s = fs.sets[id];
       if (!s.live) continue;
@@ -544,7 +538,7 @@ MaterializeResult RayCastEngine::materialize(const Requirement& req,
       s.collapsed = 0;
       --fs.live;
       accel_remove(fs, id);
-      if (obs::kProvenanceEnabled && config_.provenance && config_.lifecycle)
+      if (config_.lifecycle)
         config_.lifecycle->record(obs::LifecycleEventKind::Coalesce,
                                   ctx.task, fs.id, id, kNoEqSetID, s.owner,
                                   fs.live);
@@ -578,8 +572,10 @@ std::vector<AnalysisStep> RayCastEngine::commit(
   FieldState& fs = field_state(req.field);
   const IntervalSet& dom = config_.forest->domain(req.region);
 
-  obs::ScopedPhase phase(config_.profiler, "raycast/commit_register");
   AnalysisCounters local;
+  obs::Scope scope(config_.recorder, obs::SpanKind::Phase,
+                   "raycast/commit_register", ctx.task, ctx.analysis_node,
+                   &local);
   std::vector<AnalysisStep> steps;
   // The constituent sets were just discovered by this launch's
   // materialize; reuse them if nothing died in between.

@@ -29,9 +29,9 @@ MaterializeResult ReferenceEngine::materialize(const Requirement& req,
   MaterializeResult out;
   AnalysisCounters c;
   {
-    obs::ScopedSpan span(config_.recorder, obs::SpanKind::Phase,
-                         "history_walk", ctx.task, ctx.analysis_node, &c,
-                         nullptr);
+    obs::Scope scope(config_.recorder, obs::SpanKind::Phase,
+                     "reference/history_walk", ctx.task, ctx.analysis_node,
+                     &c);
     for (const OpRecord& op : fs.ops) {
       ++c.history_entries;
       if (interferes(op.priv, req.privilege) && op.dom.overlaps(dom))

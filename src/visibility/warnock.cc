@@ -4,7 +4,6 @@
 
 #include "common/check.h"
 #include "obs/lifecycle.h"
-#include "obs/profile.h"
 #include "obs/recorder.h"
 
 namespace visrt {
@@ -41,7 +40,7 @@ void WarnockEngine::initialize_field(RegionHandle root, FieldID field,
   fs.nodes.push_back(std::move(eq));
   fs.total_created = 1;
   fs.live = 1;
-  if (obs::kProvenanceEnabled && config_.provenance && config_.lifecycle)
+  if (config_.lifecycle)
     config_.lifecycle->record(obs::LifecycleEventKind::Create, kInvalidLaunch,
                               field, 0, kNoEqSetID, home, fs.live);
   fields_.emplace(field, std::move(fs));
@@ -137,7 +136,7 @@ void WarnockEngine::refine_leaf(FieldState& fs, std::uint32_t id,
   fs.nodes.push_back(std::move(outside));
   fs.total_created += 2;
   fs.live += 1; // one leaf became two
-  if (obs::kProvenanceEnabled && config_.provenance && config_.lifecycle) {
+  if (config_.lifecycle) {
     obs::LifecycleLedger& ledger = *config_.lifecycle;
     ledger.record(obs::LifecycleEventKind::Refine, launch, fs.id, id,
                   kNoEqSetID, outside_owner, fs.live);
@@ -161,10 +160,9 @@ MaterializeResult WarnockEngine::materialize(const Requirement& req,
 
   std::vector<std::uint32_t> leaves;
   {
-    obs::ScopedSpan span(config_.recorder, obs::SpanKind::Phase,
-                         "accel_lookup", ctx.task, ctx.analysis_node, &local,
-                         &out.steps);
-    obs::ScopedPhase phase(config_.profiler, "warnock/accel_lookup");
+    obs::Scope scope(config_.recorder, obs::SpanKind::Phase,
+                     "warnock/accel_lookup", ctx.task, ctx.analysis_node,
+                     &local, &out.steps);
     leaves = lookup(fs, req, dom, local);
   }
 
@@ -172,10 +170,9 @@ MaterializeResult WarnockEngine::materialize(const Requirement& req,
   std::vector<std::uint32_t> inside_ids;
   inside_ids.reserve(leaves.size());
   {
-    obs::ScopedSpan span(config_.recorder, obs::SpanKind::Phase,
-                         "eqset_refine", ctx.task, ctx.analysis_node, &local,
-                         &out.steps);
-    obs::ScopedPhase phase(config_.profiler, "warnock/eqset_refine");
+    obs::Scope scope(config_.recorder, obs::SpanKind::Phase,
+                     "warnock/eqset_refine", ctx.task, ctx.analysis_node,
+                     &local, &out.steps);
     for (std::uint32_t id : leaves) {
       if (dom.contains(fs.nodes[id].dom)) {
         inside_ids.push_back(id);
@@ -195,10 +192,9 @@ MaterializeResult WarnockEngine::materialize(const Requirement& req,
   bool paint_values = config_.track_values && !req.privilege.is_reduce();
   RegionData<double> data;
   {
-    obs::ScopedSpan span(config_.recorder, obs::SpanKind::Phase,
-                         "history_walk", ctx.task, ctx.analysis_node, &local,
-                         &out.steps);
-    obs::ScopedPhase phase(config_.profiler, "warnock/set_visit");
+    obs::Scope scope(config_.recorder, obs::SpanKind::Phase,
+                     "warnock/set_visit", ctx.task, ctx.analysis_node,
+                     &local, &out.steps);
     for (std::uint32_t id : inside_ids) {
       const EqSetNode& n = fs.nodes[id];
       if (n.dom.empty()) continue;
@@ -209,8 +205,7 @@ MaterializeResult WarnockEngine::materialize(const Requirement& req,
       for (const HistEntry& e : n.history) {
         if (!entry_depends(e, n.dom, req.privilege, step.counters)) continue;
         add_dependence(out.dependences, e.task);
-        if (obs::kProvenanceEnabled && config_.provenance &&
-            e.task != kInvalidLaunch) {
+        if (config_.provenance && e.task != kInvalidLaunch) {
           obs::EdgeProvenance p;
           p.from = e.task;
           p.phase = obs::ProvPhase::EqSetVisit;
@@ -257,14 +252,16 @@ std::vector<AnalysisStep> WarnockEngine::commit(
   FieldState& fs = field_state(req.field);
   const IntervalSet& dom = config_.forest->domain(req.region);
 
-  obs::ScopedPhase phase(config_.profiler, "warnock/commit_register");
   AnalysisCounters local;
+  obs::Scope scope(config_.recorder, obs::SpanKind::Phase,
+                   "warnock/commit_register", ctx.task, ctx.analysis_node,
+                   &local);
   std::vector<AnalysisStep> steps;
   std::vector<std::uint32_t> leaves;
   {
-    obs::ScopedSpan span(config_.recorder, obs::SpanKind::Phase,
-                         "accel_lookup", ctx.task, ctx.analysis_node, &local,
-                         &steps);
+    obs::Scope lookup_scope(config_.recorder, obs::SpanKind::Phase,
+                            "warnock/commit_lookup", ctx.task,
+                            ctx.analysis_node, &local);
     leaves = lookup(fs, req, dom, local);
   }
 

@@ -187,8 +187,7 @@ void expect_matches_golden(const std::vector<std::string>& actual,
   if (same) return;
   std::ofstream os("analysis_outputs.golden.actual");
   for (const std::string& line : result_lines()) os << line << "\n";
-  if (obs::kProvenanceEnabled)
-    for (const std::string& line : ledger_lines()) os << line << "\n";
+  for (const std::string& line : ledger_lines()) os << line << "\n";
   ADD_FAILURE() << "actual output written to "
                 << std::filesystem::absolute("analysis_outputs.golden.actual");
 }
@@ -198,7 +197,6 @@ TEST(AnalysisGolden, ResultHashesMatchThePinnedGolden) {
 }
 
 TEST(AnalysisGolden, LedgerDigestsMatchThePinnedGolden) {
-  if (!obs::kProvenanceEnabled) GTEST_SKIP() << "provenance compiled out";
   expect_matches_golden(ledger_lines(), /*ledgers=*/true);
 }
 

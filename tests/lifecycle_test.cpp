@@ -77,7 +77,6 @@ ProgramSpec dominating_write_spec() {
 }
 
 TEST(Lifecycle, WarnockLiveSetCountGrowsMonotonically) {
-  if (!obs::kProvenanceEnabled) GTEST_SKIP() << "provenance compiled out";
   for (const std::filesystem::path& path : corpus_files()) {
     LiveRun live = run_live(load(path), Algorithm::Warnock);
     ASSERT_NE(live.runtime, nullptr)
@@ -105,7 +104,6 @@ TEST(Lifecycle, WarnockLiveSetCountGrowsMonotonically) {
 }
 
 TEST(Lifecycle, RayCastDominatingWriteStrictlyReducesLiveSets) {
-  if (!obs::kProvenanceEnabled) GTEST_SKIP() << "provenance compiled out";
   ProgramSpec spec = dominating_write_spec();
   const LaunchID dominating = 4; // the root read-write is the fifth launch
   LiveRun live = run_live(spec, Algorithm::RayCast);
@@ -145,7 +143,6 @@ TEST(Lifecycle, RayCastDominatingWriteStrictlyReducesLiveSets) {
 }
 
 TEST(Lifecycle, ProvenanceRecordsAreSane) {
-  if (!obs::kProvenanceEnabled) GTEST_SKIP() << "provenance compiled out";
   constexpr Algorithm kSubjects[] = {Algorithm::Paint, Algorithm::Warnock,
                                      Algorithm::RayCast};
   for (const std::filesystem::path& path : corpus_files()) {
@@ -161,7 +158,6 @@ TEST(Lifecycle, ProvenanceRecordsAreSane) {
           std::string(path.filename()) + " on " + algorithm_name(subject);
       EXPECT_GT(deps.provenance_count(), 0u) << label;
       EXPECT_LE(deps.provenance_count(), deps.edge_count()) << label;
-#if VISRT_PROVENANCE
       std::size_t annotated = 0;
       for (LaunchID to = 0; to < deps.task_count(); ++to) {
         for (LaunchID from : deps.preds(to)) {
@@ -173,14 +169,13 @@ TEST(Lifecycle, ProvenanceRecordsAreSane) {
         }
       }
       EXPECT_GT(annotated, 0u) << label;
-#endif
     }
   }
 }
 
 TEST(Lifecycle, ProvenanceOffByDefault) {
   // Without RuntimeConfig::provenance the ledgers stay empty and no edge
-  // is annotated, at any VISRT_PROVENANCE setting.
+  // is annotated.
   ProgramSpec spec = dominating_write_spec();
   LiveRunOptions options;
   options.provenance = false;

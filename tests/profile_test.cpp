@@ -1,10 +1,11 @@
-// The analysis profiler (obs/profile.h): phase attribution and the
+// The analysis profiler (obs/profile.h): self-time attribution through
+// obs::Scope, one label catalog shared with the spans, and the
 // structure/timing split of its report.  Structure fields (phase labels,
 // event counts) are a function of the program; timing fields
 // (nanoseconds, coverage) are host state and excluded from any golden.
-// With -DVISRT_PROFILE=OFF the whole layer compiles to stubs; these tests
-// then skip cleanly.
 #include <gtest/gtest.h>
+
+#include <map>
 
 #include "apps/circuit.h"
 #include "obs/profile.h"
@@ -20,13 +21,16 @@ struct ProfiledCircuit {
   obs::ProfileReport report;
   std::string structure;
 
-  explicit ProfiledCircuit(bool profile = true) {
+  explicit ProfiledCircuit(bool profile = true,
+                           Algorithm algorithm = Algorithm::RayCast,
+                           bool telemetry = false) {
     constexpr std::uint32_t nodes = 16;
     RuntimeConfig cfg;
-    cfg.algorithm = Algorithm::RayCast;
+    cfg.algorithm = algorithm;
     cfg.dcr = true;
     cfg.track_values = false;
     cfg.profile = profile;
+    cfg.telemetry = telemetry;
     cfg.machine.num_nodes = nodes;
     rt = std::make_unique<Runtime>(cfg);
     apps::CircuitConfig acfg;
@@ -43,15 +47,13 @@ struct ProfiledCircuit {
   }
 };
 
-TEST(Profiler, ScopedPhaseIsNullSafe) {
-  obs::ScopedPhase null_phase(nullptr, "nothing");
-  obs::Profiler off; // never enabled
-  obs::ScopedPhase disabled_phase(&off, "nothing");
-  EXPECT_EQ(off.report(0).phases.size(), 0u);
+void busy_wait_ns(std::uint64_t ns) {
+  const std::uint64_t until = obs::prof_now_ns() + ns;
+  while (obs::prof_now_ns() < until) {
+  }
 }
 
 TEST(Profiler, PhasesCoverTheAnalysisWall) {
-  if (!obs::kProfileEnabled) GTEST_SKIP() << "VISRT_PROFILE=OFF";
   ProfiledCircuit run;
   ASSERT_GT(run.stats.analysis_wall_s, 0.0);
   ASSERT_FALSE(run.report.phases.empty());
@@ -61,21 +63,20 @@ TEST(Profiler, PhasesCoverTheAnalysisWall) {
   // The runtime's emission loops, its realm work and the engine's visit
   // are all present.
   bool has_emit = false, has_apply = false, has_visit = false,
-       has_other = false;
+       has_materialize = false;
   for (const obs::PhaseTotal& p : run.report.phases) {
     if (p.label == "runtime/emit_graph") has_emit = p.events > 0;
     if (p.label == "runtime/apply_instances") has_apply = p.events > 0;
     if (p.label == "raycast/set_visit") has_visit = p.events > 0;
-    if (p.label == "runtime/materialize_other") has_other = true;
+    if (p.label == "runtime/materialize") has_materialize = true;
   }
   EXPECT_TRUE(has_emit);
   EXPECT_TRUE(has_apply);
   EXPECT_TRUE(has_visit);
-  EXPECT_TRUE(has_other);
+  EXPECT_TRUE(has_materialize);
 }
 
 TEST(Profiler, TimingJsonCarriesTheAttributionFields) {
-  if (!obs::kProfileEnabled) GTEST_SKIP() << "VISRT_PROFILE=OFF";
   ProfiledCircuit run;
   const std::string json = run.rt->profile_json();
   for (const char* key :
@@ -92,14 +93,73 @@ TEST(Profiler, DisabledProfilerRecordsNothing) {
   EXPECT_EQ(run.structure, "{\"phases\":[]}");
 }
 
-TEST(Profiler, CompiledOutBuildReportsDisabled) {
-  if (obs::kProfileEnabled) GTEST_SKIP() << "VISRT_PROFILE=ON build";
-  // The stub layer: everything is inert and the JSON says so.
+TEST(Profiler, StructureIsAFunctionOfTheProgram) {
+  ProfiledCircuit first;
+  ProfiledCircuit second;
+  EXPECT_NE(first.structure, "{\"phases\":[]}");
+  EXPECT_EQ(first.structure, second.structure);
+}
+
+TEST(Profiler, SelfTimeNeverDoubleCountsNestedScopes) {
+  constexpr std::uint64_t kWaitNs = 2'000'000;
+  obs::Recorder r;
+  r.profiler().enable();
+  const std::uint64_t begin = obs::prof_now_ns();
+  {
+    obs::Scope outer(&r, obs::SpanKind::Phase, "test/outer", 0, 0);
+    busy_wait_ns(kWaitNs);
+    {
+      obs::Scope inner(&r, obs::SpanKind::Phase, "test/inner", 0, 0);
+      busy_wait_ns(kWaitNs);
+    }
+  }
+  const std::uint64_t wall = obs::prof_now_ns() - begin;
+  const obs::ProfileReport report = r.profiler().report(wall);
+  ASSERT_EQ(report.phases.size(), 2u);
+  std::uint64_t sum = 0;
+  for (const obs::PhaseTotal& p : report.phases) {
+    EXPECT_EQ(p.events, 1u) << p.label;
+    EXPECT_GE(p.wall_ns, kWaitNs) << p.label;
+    sum += p.wall_ns;
+  }
+  // Summing walls would count the inner wait twice and exceed the wall.
+  EXPECT_LE(sum, wall);
+  EXPECT_LE(report.coverage, 1.0);
+  // The same holds for a whole run: the runtime's and the engine's scopes
+  // nest, and the ledger stays inside the analysis wall.
   ProfiledCircuit run;
-  EXPECT_FALSE(run.rt->profiler().enabled());
-  EXPECT_TRUE(run.report.phases.empty());
-  EXPECT_NE(run.rt->profile_json().find("\"enabled\":false"),
-            std::string::npos);
+  EXPECT_LE(run.report.coverage, 1.0);
+}
+
+// One vocabulary: with both sinks on, every scope is one span and one
+// ledger event under the same label.  The Launch span (task name) is the
+// only span outside the ledger.
+TEST(Profiler, SpansAndLedgerShareOneCatalog) {
+  for (Algorithm algorithm :
+       {Algorithm::Paint, Algorithm::Warnock, Algorithm::RayCast,
+        Algorithm::NaivePaint, Algorithm::NaiveWarnock,
+        Algorithm::NaiveRayCast, Algorithm::Reference}) {
+    SCOPED_TRACE(algorithm_name(algorithm));
+    ProfiledCircuit run(/*profile=*/true, algorithm, /*telemetry=*/true);
+    ASSERT_EQ(run.rt->recorder().spans_dropped(), 0u);
+    std::map<std::string, std::uint64_t> spans;
+    for (const obs::Span& s : run.rt->recorder().spans())
+      if (s.kind != obs::SpanKind::Launch) ++spans[s.name];
+    std::map<std::string, std::uint64_t> ledger;
+    for (const obs::PhaseTotal& p : run.report.phases)
+      ledger[p.label] = p.events;
+    EXPECT_EQ(spans, ledger);
+    const std::string engine = algorithm_name(algorithm);
+    const std::string prefix =
+        engine.starts_with("naive-") ? "naive/" : engine + "/";
+    bool engine_label = false;
+    for (const auto& [label, events] : ledger) {
+      EXPECT_TRUE(label.starts_with("runtime/") || label.starts_with(prefix))
+          << label;
+      engine_label = engine_label || label.starts_with(prefix);
+    }
+    EXPECT_TRUE(engine_label);
+  }
 }
 
 } // namespace

@@ -380,9 +380,6 @@ TEST(ServeServer, HealthAndPrometheusAnswerOverTheSocket) {
 }
 
 TEST(ServeFlight, InjectedCheckFailureWritesParseableDump) {
-#if !VISRT_FLIGHT
-  GTEST_SKIP() << "flight recorder compiled out (VISRT_FLIGHT=0)";
-#else
   const std::string dir = "/tmp"; // dump lands as /tmp/visrt-flight-*.json
   obs::flight_arm_crash_dumps(dir);
 
@@ -430,5 +427,26 @@ TEST(ServeFlight, InjectedCheckFailureWritesParseableDump) {
   EXPECT_TRUE(saw_check_failure);
   EXPECT_TRUE(saw_failing_launch);
   std::remove(path.c_str());
-#endif
+}
+
+TEST(ServeFlight, ExitedThreadRingIsReusedNotGrown) {
+  // The daemon runs one thread per connection.  An exited thread's ring
+  // goes back on the free stack and the next thread takes it, so the rings
+  // track the peak thread count; the dead thread's events stay visible
+  // until the new owner overwrites them.
+  constexpr std::uint64_t kMark = 0xF1167;
+  constexpr std::size_t kRingSlots = 2048;
+  std::thread first([] {
+    for (std::size_t i = 0; i < kRingSlots; ++i)
+      obs::flight_record(obs::FlightKind::Control, kMark, i);
+  });
+  first.join();
+  std::thread second(
+      [] { obs::flight_record(obs::FlightKind::Control, kMark, kRingSlots); });
+  second.join();
+  std::size_t marked = 0;
+  for (const obs::FlightEvent& ev : obs::flight_snapshot())
+    if (ev.kind == obs::FlightKind::Control && ev.a == kMark) ++marked;
+  // The second thread's event overwrote the oldest of the first's.
+  EXPECT_EQ(marked, kRingSlots);
 }
