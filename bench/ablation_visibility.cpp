@@ -5,14 +5,13 @@
 //     the disjoint-complete-partition BVH;
 //   - Warnock without memoized equivalence-set lookups;
 //   - the painter without occlusion pruning: history grows unboundedly.
-// Reported both as wall-clock (google-benchmark) and as engine state
-// counters printed once per configuration.
+// Each case reports the google-benchmark time of a fixed number of passes
+// (engine_passes.h) and the engine state after them as counters.
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
+#include <memory>
 
-#include "metrics_common.h"
-#include "realm/reduction_ops.h"
+#include "engine_passes.h"
 #include "visibility/paint.h"
 #include "visibility/raycast.h"
 #include "visibility/warnock.h"
@@ -20,142 +19,66 @@
 namespace visrt {
 namespace {
 
-/// Figure-1-shaped workload: ring of pieces, primary + aliased ghosts.
-struct Workload {
-  RegionTreeForest forest;
-  RegionHandle root;
-  std::vector<RegionHandle> primary, ghost;
-
-  explicit Workload(int pieces, coord_t piece_size = 64) {
-    coord_t total = pieces * piece_size;
-    root = forest.create_root(IntervalSet(0, total - 1), "A");
-    std::vector<IntervalSet> p, g;
-    for (int i = 0; i < pieces; ++i) {
-      coord_t lo = i * piece_size;
-      p.push_back(IntervalSet(lo, lo + piece_size - 1));
-      coord_t left = (lo + total - 2) % total;
-      coord_t right = (lo + piece_size) % total;
-      g.push_back(IntervalSet{{left, left + 1}, {right, right + 1}});
-    }
-    PartitionHandle ph = forest.create_partition(root, std::move(p), "P");
-    PartitionHandle gh = forest.create_partition(root, std::move(g), "G");
-    for (int i = 0; i < pieces; ++i) {
-      primary.push_back(forest.subregion(ph, static_cast<std::size_t>(i)));
-      ghost.push_back(forest.subregion(gh, static_cast<std::size_t>(i)));
-    }
-  }
-};
-
-void run_iteration(CoherenceEngine& engine, const Workload& w,
-                   LaunchID& next) {
-  for (std::size_t i = 0; i < w.primary.size(); ++i) {
-    AnalysisContext ctx{next++, static_cast<NodeID>(i % 4), 0};
-    Requirement rw{w.primary[i], 0, Privilege::read_write()};
-    Requirement red{w.ghost[i], 0, Privilege::reduce(kRedopSum)};
-    auto r1 = engine.materialize(rw, ctx);
-    engine.commit(rw, r1.data, ctx);
-    auto r2 = engine.materialize(red, ctx);
-    engine.commit(red, r2.data, ctx);
-  }
-}
-
 template <typename Engine>
-void drive(benchmark::State& state, Engine& engine, const Workload& w,
-           const char* label) {
-  engine.initialize_field(w.root, 0, RegionData<double>{}, 0);
-  LaunchID next = 0;
-  for (auto _ : state) {
-    run_iteration(engine, w, next);
-  }
-  EngineStats s = engine.stats();
+void drive(benchmark::State& state, typename Engine::Options options) {
+  bench::Workload w(static_cast<int>(state.range(0)));
+  EngineStats s = bench::time_passes(state, w, [&] {
+    return std::make_unique<Engine>(w.engine_config(), options);
+  });
   state.counters["live_eqsets"] = static_cast<double>(s.live_eqsets);
   state.counters["created"] = static_cast<double>(s.total_eqsets_created);
   state.counters["hist"] = static_cast<double>(s.history_entries);
   state.counters["views"] = static_cast<double>(s.total_composite_views);
-  (void)label;
-}
-
-EngineConfig config_for(const Workload& w) {
-  EngineConfig config;
-  config.forest = &w.forest;
-  config.track_values = false;
-  return config;
 }
 
 void BM_RayCast_DominatingWrites(benchmark::State& state) {
-  Workload w(static_cast<int>(state.range(0)));
-  RayCastEngine engine(config_for(w), RayCastEngine::Options{});
-  drive(state, engine, w, "dominating writes ON");
+  drive<RayCastEngine>(state, {});
 }
 BENCHMARK(BM_RayCast_DominatingWrites)->Arg(16)->Arg(64);
 
 void BM_RayCast_NoDominatingWrites(benchmark::State& state) {
   // Ablation: without dominating writes, ray casting never coalesces and
   // behaves like Warnock — watch live_eqsets grow.
-  Workload w(static_cast<int>(state.range(0)));
   RayCastEngine::Options options;
   options.dominating_writes = false;
-  RayCastEngine engine(config_for(w), options);
-  drive(state, engine, w, "dominating writes OFF");
+  drive<RayCastEngine>(state, options);
 }
 BENCHMARK(BM_RayCast_NoDominatingWrites)->Arg(16)->Arg(64);
 
 void BM_RayCast_KdFallback(benchmark::State& state) {
   // Ablation: force the K-d interval-tree fallback instead of the
   // partition-aligned buckets (Section 7.1's rare case).
-  Workload w(static_cast<int>(state.range(0)));
   RayCastEngine::Options options;
   options.force_kd_fallback = true;
-  RayCastEngine engine(config_for(w), options);
-  drive(state, engine, w, "k-d fallback");
+  drive<RayCastEngine>(state, options);
 }
 BENCHMARK(BM_RayCast_KdFallback)->Arg(16)->Arg(64);
 
 void BM_Warnock_Memoized(benchmark::State& state) {
-  Workload w(static_cast<int>(state.range(0)));
-  WarnockEngine engine(config_for(w), WarnockEngine::Options{});
-  drive(state, engine, w, "memoized");
+  drive<WarnockEngine>(state, {});
 }
 BENCHMARK(BM_Warnock_Memoized)->Arg(16)->Arg(64);
 
 void BM_Warnock_NoMemo(benchmark::State& state) {
   // Ablation: every lookup re-descends the refinement BVH from the root.
-  Workload w(static_cast<int>(state.range(0)));
   WarnockEngine::Options options;
   options.memoize = false;
-  WarnockEngine engine(config_for(w), options);
-  drive(state, engine, w, "no memoization");
+  drive<WarnockEngine>(state, options);
 }
 BENCHMARK(BM_Warnock_NoMemo)->Arg(16)->Arg(64);
 
 void BM_Paint_OcclusionPruning(benchmark::State& state) {
-  Workload w(static_cast<int>(state.range(0)));
-  PaintEngine engine(config_for(w), PaintEngine::Options{});
-  drive(state, engine, w, "occlusion pruning ON");
+  drive<PaintEngine>(state, {});
 }
 BENCHMARK(BM_Paint_OcclusionPruning)->Arg(16)->Arg(64);
 
 void BM_Paint_NoOcclusionPruning(benchmark::State& state) {
   // Ablation: composite views are never deleted; histories only grow.
-  Workload w(static_cast<int>(state.range(0)));
   PaintEngine::Options options;
   options.occlusion_pruning = false;
-  PaintEngine engine(config_for(w), options);
-  drive(state, engine, w, "occlusion pruning OFF");
+  drive<PaintEngine>(state, options);
 }
 BENCHMARK(BM_Paint_NoOcclusionPruning)->Arg(16)->Arg(64);
 
 } // namespace
 } // namespace visrt
-
-// Custom main: --metrics-json must be stripped before google-benchmark
-// sees the arguments (benchmark_main rejects unrecognized flags).
-int main(int argc, char** argv) {
-  std::string metrics = visrt::bench::take_metrics_json_arg(argc, argv);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  visrt::bench::write_envelope_only(metrics, "ablation_visibility");
-  return 0;
-}

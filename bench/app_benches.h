@@ -13,10 +13,8 @@
 namespace visrt::bench {
 
 inline RunResult run_stencil(const SystemConfig& sys, std::uint32_t nodes,
-                             int iterations = 5, bool telemetry = false,
-                             bool profile = false) {
+                             int iterations = 5, bool telemetry = false) {
   RuntimeConfig rcfg = bench_runtime_config(sys, nodes, telemetry);
-  rcfg.profile = profile;
   apps::StencilConfig cfg;
   // Near-square 2-D piece grid (node counts are powers of two).
   std::uint32_t px = 1;
@@ -36,15 +34,12 @@ inline RunResult run_stencil(const SystemConfig& sys, std::uint32_t nodes,
   out.work_per_node_per_iter =
       static_cast<double>(app.points_per_piece());
   out.metrics_json = bench_metrics_json(sys, nodes, "stencil", rt, out.stats);
-  if (profile) out.profile_json = rt.profile_json();
   return out;
 }
 
 inline RunResult run_circuit(const SystemConfig& sys, std::uint32_t nodes,
-                             int iterations = 5, bool telemetry = false,
-                             bool profile = false) {
+                             int iterations = 5, bool telemetry = false) {
   RuntimeConfig rcfg = bench_runtime_config(sys, nodes, telemetry);
-  rcfg.profile = profile;
   apps::CircuitConfig cfg;
   cfg.pieces = nodes;
   cfg.nodes_per_piece = 200;
@@ -60,15 +55,12 @@ inline RunResult run_circuit(const SystemConfig& sys, std::uint32_t nodes,
   out.stats = rt.finish();
   out.work_per_node_per_iter = static_cast<double>(app.wires_per_piece());
   out.metrics_json = bench_metrics_json(sys, nodes, "circuit", rt, out.stats);
-  if (profile) out.profile_json = rt.profile_json();
   return out;
 }
 
 inline RunResult run_pennant(const SystemConfig& sys, std::uint32_t nodes,
-                             int iterations = 5, bool telemetry = false,
-                             bool profile = false) {
+                             int iterations = 5, bool telemetry = false) {
   RuntimeConfig rcfg = bench_runtime_config(sys, nodes, telemetry);
-  rcfg.profile = profile;
   apps::PennantConfig cfg;
   // Pieces in a near-square 2-D grid covering `nodes` pieces.
   std::uint32_t px = 1;
@@ -93,7 +85,6 @@ inline RunResult run_pennant(const SystemConfig& sys, std::uint32_t nodes,
   out.stats = rt.finish();
   out.work_per_node_per_iter = static_cast<double>(app.zones_per_piece());
   out.metrics_json = bench_metrics_json(sys, nodes, "pennant", rt, out.stats);
-  if (profile) out.profile_json = rt.profile_json();
   return out;
 }
 

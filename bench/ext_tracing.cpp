@@ -42,7 +42,7 @@ RunResult run_traced_stencil(const SystemConfig& sys, std::uint32_t nodes,
 
 int main(int argc, char** argv) {
   using namespace visrt::bench;
-  std::string metrics_path = take_metrics_json_arg(argc, argv);
+  std::string metrics_path = metrics_json_arg(argc, argv, "ext_tracing");
   visrt::MetricsFile metrics("ext_tracing");
   std::printf("# Extension: Stencil weak scaling with dynamic tracing\n");
   std::printf("# (points/s per node; the paper's Figures ran untraced)\n");

@@ -1,19 +1,10 @@
 // Figure 12: Stencil initialization time (init time).
 #include "app_benches.h"
-#include "wallclock_common.h"
 
 int main(int argc, char** argv) {
   using namespace visrt::bench;
-  WallClockOptions wc = take_wall_clock_args(argc, argv);
-  std::string metrics = take_metrics_json_arg(argc, argv);
-  bool telemetry = !metrics.empty();
-  auto runner = [telemetry, &wc](const SystemConfig& sys,
-                                 std::uint32_t nodes) {
-    return run_stencil(sys, nodes, 5, telemetry, wall_clock_profiling(wc));
-  };
-  if (wc.enabled)
-    return run_wall_clock("fig12_stencil_init", "stencil", wc, runner);
-  FigureSpec spec{"Figure 12", "Stencil initialization time", "points/s", false};
-  run_figure(spec, runner, metrics, "fig12_stencil_init");
-  return 0;
+  return figure_main(
+      argc, argv, "fig12_stencil_init",
+      {"Figure 12", "Stencil initialization time", "points/s", false},
+      run_stencil);
 }

@@ -1,19 +1,10 @@
 // Figure 13: Circuit initialization time (init time).
 #include "app_benches.h"
-#include "wallclock_common.h"
 
 int main(int argc, char** argv) {
   using namespace visrt::bench;
-  WallClockOptions wc = take_wall_clock_args(argc, argv);
-  std::string metrics = take_metrics_json_arg(argc, argv);
-  bool telemetry = !metrics.empty();
-  auto runner = [telemetry, &wc](const SystemConfig& sys,
-                                 std::uint32_t nodes) {
-    return run_circuit(sys, nodes, 5, telemetry, wall_clock_profiling(wc));
-  };
-  if (wc.enabled)
-    return run_wall_clock("fig13_circuit_init", "circuit", wc, runner);
-  FigureSpec spec{"Figure 13", "Circuit initialization time", "wires/s", false};
-  run_figure(spec, runner, metrics, "fig13_circuit_init");
-  return 0;
+  return figure_main(
+      argc, argv, "fig13_circuit_init",
+      {"Figure 13", "Circuit initialization time", "wires/s", false},
+      run_circuit);
 }

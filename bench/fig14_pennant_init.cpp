@@ -1,19 +1,10 @@
 // Figure 14: Pennant initialization time (init time).
 #include "app_benches.h"
-#include "wallclock_common.h"
 
 int main(int argc, char** argv) {
   using namespace visrt::bench;
-  WallClockOptions wc = take_wall_clock_args(argc, argv);
-  std::string metrics = take_metrics_json_arg(argc, argv);
-  bool telemetry = !metrics.empty();
-  auto runner = [telemetry, &wc](const SystemConfig& sys,
-                                 std::uint32_t nodes) {
-    return run_pennant(sys, nodes, 5, telemetry, wall_clock_profiling(wc));
-  };
-  if (wc.enabled)
-    return run_wall_clock("fig14_pennant_init", "pennant", wc, runner);
-  FigureSpec spec{"Figure 14", "Pennant initialization time", "zones/s", false};
-  run_figure(spec, runner, metrics, "fig14_pennant_init");
-  return 0;
+  return figure_main(
+      argc, argv, "fig14_pennant_init",
+      {"Figure 14", "Pennant initialization time", "zones/s", false},
+      run_pennant);
 }

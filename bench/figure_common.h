@@ -13,14 +13,17 @@
 // The simulator is deterministic, so all five repetitions of the artifact
 // format are identical by construction; they are printed anyway to stay
 // drop-in compatible with the paper's spreadsheet pipeline.
+//
+// The one option, `--metrics-json PATH` (or `--metrics-json=PATH`), turns
+// telemetry on and writes every run's metrics there (docs/OBSERVABILITY.md).
 #pragma once
 
 #include <cstdio>
-#include <functional>
+#include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
-#include "metrics_common.h"
 #include "obs/metrics.h"
 #include "runtime/runtime.h"
 
@@ -54,17 +57,14 @@ struct RunResult {
   /// Serialized metrics run object (metrics_run_json); collected into the
   /// --metrics-json file when one was requested.
   std::string metrics_json;
-  /// Serialized profile report (Runtime::profile_json); collected into the
-  /// --profile-out file when one was requested.  Empty otherwise.
-  std::string profile_json;
 };
 
-/// Runs one (system, nodes) configuration: the callback constructs the
-/// runtime (via bench_runtime_config, typically adjusting the leaf-task
-/// cost model to the app's kernel weight), builds and runs the app, and
-/// reports the throughput unit.
-using ConfigRunner = std::function<RunResult(const SystemConfig& sys,
-                                             std::uint32_t nodes)>;
+/// Runs one (system, nodes) configuration: constructs the runtime (via
+/// bench_runtime_config, adjusting the leaf-task cost model to the app's
+/// kernel weight), builds and runs the app for `iterations`, and reports
+/// the throughput unit.  app_benches.h has one per app.
+using AppRunner = RunResult (*)(const SystemConfig& sys, std::uint32_t nodes,
+                                int iterations, bool telemetry);
 
 struct FigureSpec {
   std::string figure;     ///< e.g. "Figure 12"
@@ -99,9 +99,32 @@ inline std::string bench_metrics_json(const SystemConfig& sys,
   return metrics_run_json(info, rt, stats);
 }
 
-inline void run_figure(const FigureSpec& spec, const ConfigRunner& runner,
-                       const std::string& metrics_path = "",
-                       const char* binary = "") {
+/// The command line of the figure benches and ext_tracing:
+/// `[--metrics-json PATH]`.  Returns the path, "" when absent.  Any other
+/// argument prints a usage line and exits 2 instead of running the sweep.
+inline std::string metrics_json_arg(int argc, char** argv,
+                                    const char* binary) {
+  std::string path;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--metrics-json=", 15) == 0) {
+      path = argv[i] + 15;
+    } else if (std::strcmp(argv[i], "--metrics-json") == 0 && i + 1 < argc) {
+      path = argv[++i];
+    } else {
+      std::fprintf(stderr, "usage: %s [--metrics-json PATH]\n", binary);
+      std::exit(2);
+    }
+  }
+  return path;
+}
+
+/// A figure bench's main(): sweep every paper system over
+/// paper_node_counts() with `app`, print the artifact TSV and the
+/// figure's series, and write the metrics file when one was requested.
+inline int figure_main(int argc, char** argv, const char* binary,
+                       const FigureSpec& spec, AppRunner app) {
+  const std::string metrics_path = metrics_json_arg(argc, argv, binary);
+  const bool telemetry = !metrics_path.empty();
   MetricsFile metrics(binary);
   std::printf("# %s: %s\n", spec.figure.c_str(), spec.title.c_str());
   std::printf("# deterministic simulator: the 5 artifact reps are "
@@ -121,9 +144,8 @@ inline void run_figure(const FigureSpec& spec, const ConfigRunner& runner,
   for (std::size_t s = 0; s < series.size(); ++s) {
     const SystemConfig& sys = *series[s].sys;
     for (std::uint32_t nodes : nodes_list) {
-      RunResult result = runner(sys, nodes);
-      if (!metrics_path.empty() && !result.metrics_json.empty())
-        metrics.add_run(std::move(result.metrics_json));
+      RunResult result = app(sys, nodes, 5, telemetry);
+      if (telemetry) metrics.add_run(std::move(result.metrics_json));
       const RunStats& st = result.stats;
       for (int rep = 0; rep < 5; ++rep) {
         std::printf("%s\t%u\t1\t%d\t%.6f\t%.6f\n", sys.label, nodes, rep,
@@ -154,6 +176,7 @@ inline void run_figure(const FigureSpec& spec, const ConfigRunner& runner,
   }
   std::printf("\n");
   metrics.write(metrics_path);
+  return 0;
 }
 
 } // namespace visrt::bench

@@ -9,27 +9,19 @@
 //   stream_sustained [--launches N] [--pieces N]
 //                    [--retire-interval N] [--max-resident-launches N]
 //                    [--max-history-depth N] [--values]
-//                    [--bench-out PATH] [--metrics-json PATH]
 //
 // Statements are synthesized on the fly (the stream text is never
 // materialized), so the only O(stream) state is whatever the session
 // fails to retire — the point of the bench.  The run aborts nonzero if
 // residency exceeds the configured cap plus the analysis tail, i.e. if
 // memory is not actually bounded.
-//
-// Appends one schema-v1 entry to BENCH_analysis.json (system
-// "serve_stream"), with launches_per_s and peak_resident_launches
-// alongside the standard analysis_wall_s.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 #include <string>
 
-#include "metrics_common.h"
 #include "serve/session.h"
-#include "wallclock_common.h"
 
 using namespace visrt;
 
@@ -42,7 +34,6 @@ struct Options {
   std::size_t max_resident_launches = 8192;
   std::size_t max_history_depth = 64;
   bool values = false; // analysis-only by default: the service-rate metric
-  std::string bench_out = "BENCH_analysis.json";
 };
 
 /// The figure-5 stream prologue at `pieces` primary pieces: tree of
@@ -82,14 +73,13 @@ int usage() {
                "usage: stream_sustained [--launches N] [--pieces N] "
                "[--retire-interval N] "
                "[--max-resident-launches N] [--max-history-depth N] "
-               "[--values] [--bench-out PATH] [--metrics-json PATH]\n");
+               "[--values]\n");
   return 2;
 }
 
 } // namespace
 
 int main(int argc, char** argv) {
-  std::string metrics_path = bench::take_metrics_json_arg(argc, argv);
   Options opt;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -105,7 +95,6 @@ int main(int argc, char** argv) {
     else if (arg == "--max-history-depth")
       opt.max_history_depth = static_cast<std::size_t>(next());
     else if (arg == "--values") opt.values = true;
-    else if (arg == "--bench-out" && i + 1 < argc) opt.bench_out = argv[++i];
     else return usage();
   }
   if (opt.pieces < 3) opt.pieces = 3; // the ghost shape needs neighbours
@@ -187,26 +176,5 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::ostringstream entry;
-  entry << "{\"bench\":\"stream_sustained\",\"app\":\"synthetic\","
-        << "\"threads\":1,\"runs\":[{"
-        << "\"system\":\"serve_stream\",\"nodes\":4,"
-        << "\"analysis_wall_s\":" << obs::json_number(wall)
-        << ",\"launches\":" << c.launches
-        << ",\"dep_edges\":" << r.dep_edges
-        << ",\"launches_per_s\":" << obs::json_number(rate)
-        << ",\"peak_resident_launches\":" << c.peak_resident_launches
-        << ",\"peak_resident_ops\":" << c.peak_resident_ops
-        << ",\"retired_launches\":" << c.retired_launches
-        << ",\"retire_calls\":" << c.retire_calls
-        << ",\"eqset_slots_reclaimed\":" << c.eqset_slots_reclaimed
-        << ",\"launch_p50_ns\":" << p50 << ",\"launch_p99_ns\":" << p99
-        << ",\"launch_p999_ns\":" << p999 << "}]}";
-  if (!bench::append_bench_entry(opt.bench_out, entry.str())) {
-    std::fprintf(stderr, "error: could not write %s\n", opt.bench_out.c_str());
-    return 1;
-  }
-  std::printf("# appended entry to %s\n", opt.bench_out.c_str());
-  bench::write_envelope_only(metrics_path, "stream_sustained");
   return 0;
 }

@@ -3,12 +3,11 @@
 //
 //   verify_scale [--launches N] [--pieces N] [--retire-interval N]
 //                [--max-resident-launches N] [--batch-cap N]
-//                [--bench-out PATH] [--metrics-json PATH]
 //
 // Drives the paper's Figure-5 ghost-exchange shape (aliased neighbour
 // ghosts over two alternating fields) at the requested launch count
-// through up to three verification systems and appends one schema-v1
-// entry (bench "verify_scale") to BENCH_analysis.json:
+// through up to three verification systems and prints one row per system
+// (system, launches verified, wall seconds, interfering pairs, verdict):
 //
 //   spy_bitmatrix       the pre-order-maintenance spy: an O(n²)-memory
 //                       BitMatrix transitive closure plus the same
@@ -33,17 +32,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/spy.h"
-#include "metrics_common.h"
 #include "runtime/runtime.h"
 #include "serve/session.h"
-#include "wallclock_common.h"
 
 using namespace visrt;
 
@@ -57,7 +53,6 @@ struct Options {
   /// Largest launch count the batch systems attempt; beyond it only the
   /// streamed system runs (the batch matrices are O(n²) memory).
   std::size_t batch_cap = 16384;
-  std::string bench_out = "BENCH_analysis.json";
 };
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
@@ -232,14 +227,13 @@ int usage() {
   std::fprintf(stderr,
                "usage: verify_scale [--launches N] [--pieces N] "
                "[--retire-interval N] [--max-resident-launches N] "
-               "[--batch-cap N] [--bench-out PATH] [--metrics-json PATH]\n");
+               "[--batch-cap N]\n");
   return 2;
 }
 
 } // namespace
 
 int main(int argc, char** argv) {
-  std::string metrics_path = bench::take_metrics_json_arg(argc, argv);
   Options opt;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -254,7 +248,6 @@ int main(int argc, char** argv) {
       opt.max_resident_launches = static_cast<std::size_t>(next());
     else if (arg == "--batch-cap")
       opt.batch_cap = static_cast<std::size_t>(next());
-    else if (arg == "--bench-out" && i + 1 < argc) opt.bench_out = argv[++i];
     else return usage();
   }
   if (opt.pieces < 3) opt.pieces = 3; // the ghost shape needs neighbours
@@ -264,7 +257,6 @@ int main(int argc, char** argv) {
               opt.max_resident_launches);
   std::printf("system\tlaunches\tverify_wall_s\tinterfering\tverdict\n");
 
-  std::vector<std::string> runs;
   bool failed = false;
 
   // --- Batch systems: one engine run, two verifiers over its output. ---
@@ -320,24 +312,6 @@ int main(int argc, char** argv) {
                    base.transitive_edges, spy.transitive_edges);
       failed = true;
     }
-
-    std::ostringstream os;
-    os << "{\"system\":\"spy_order\",\"nodes\":4,\"analysis_wall_s\":"
-       << obs::json_number(order_wall) << ",\"launches\":" << spy.launches
-       << ",\"dep_edges\":" << spy.dep_edges
-       << ",\"interfering_pairs\":" << spy.interfering_pairs
-       << ",\"transitive_edges\":" << spy.transitive_edges
-       << ",\"order_chains\":" << spy.order_chains
-       << ",\"order_relabels\":" << spy.order_relabels << "}";
-    runs.push_back(os.str());
-    os.str("");
-    os << "{\"system\":\"spy_bitmatrix\",\"nodes\":4,\"analysis_wall_s\":"
-       << obs::json_number(bitmatrix_wall)
-       << ",\"launches\":" << rt.launch_log().size()
-       << ",\"dep_edges\":" << rt.dep_graph().edge_count()
-       << ",\"interfering_pairs\":" << base.interfering_pairs
-       << ",\"transitive_edges\":" << base.transitive_edges << "}";
-    runs.push_back(os.str());
   } else {
     std::printf("# batch systems skipped: %zu launches > batch cap %zu\n",
                 opt.launches, opt.batch_cap);
@@ -389,34 +363,7 @@ int main(int argc, char** argv) {
                                         : "no verify report");
       failed = true;
     }
-
-    std::ostringstream os;
-    os << "{\"system\":\"serve_stream_verify\",\"nodes\":4,"
-       << "\"analysis_wall_s\":" << obs::json_number(wall)
-       << ",\"launches\":" << c.launches
-       << ",\"verified_launches\":" << c.verified_launches
-       << ",\"launches_per_s\":"
-       << obs::json_number(wall > 0 ? static_cast<double>(c.launches) / wall
-                                    : 0)
-       << ",\"peak_resident_launches\":" << c.peak_resident_launches
-       << ",\"interfering_pairs\":"
-       << (r.verify.has_value() ? r.verify->interfering_pairs : 0)
-       << ",\"transitive_edges\":"
-       << (r.verify.has_value() ? r.verify->transitive_edges : 0) << "}";
-    runs.push_back(os.str());
   }
 
-  std::ostringstream entry;
-  entry << "{\"bench\":\"verify_scale\",\"app\":\"synthetic\",\"threads\":1,"
-        << "\"runs\":[";
-  for (std::size_t i = 0; i < runs.size(); ++i)
-    entry << (i ? "," : "") << runs[i];
-  entry << "]}";
-  if (!bench::append_bench_entry(opt.bench_out, entry.str())) {
-    std::fprintf(stderr, "error: could not write %s\n", opt.bench_out.c_str());
-    return 1;
-  }
-  std::printf("# appended entry to %s\n", opt.bench_out.c_str());
-  bench::write_envelope_only(metrics_path, "verify_scale");
   return failed ? 1 : 0;
 }

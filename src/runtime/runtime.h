@@ -215,8 +215,8 @@ struct RunStats {
   double analysis_cpu_s = 0; ///< total analysis CPU across all nodes
   /// Real (wall-clock) seconds this process spent inside the analysis
   /// sections of launch() — materialize + commit, excluding task bodies
-  /// and the DES replay.  This is the quantity the --wall-clock benches
-  /// report; unlike everything else in RunStats it depends on the host.
+  /// and the DES replay.  perfbench, visrt_cli profile and --metrics-json
+  /// report it; unlike everything else in RunStats it depends on the host.
   double analysis_wall_s = 0;
   EngineStats engine;
 };

@@ -3,9 +3,11 @@
 // schedule, edge-count, traced-launch, per-launch value and final value
 // fingerprints recorded in tests/corpus/analysis_outputs.golden — plus,
 // for the first corpus program under DCR, digests of each engine's
-// provenance, lifecycle and message ledgers.  The golden file is a check
-// across commits: a refactor of the analysis stack must leave every line
-// untouched.
+// provenance, lifecycle and message ledgers, and for each paper system in
+// Figure 13's exact configuration at 256 nodes, its launch, edge and
+// message counts and simulated init and total times.  The golden file is
+// a check across commits: a refactor of the analysis stack must leave
+// every line untouched.
 //
 // On a mismatch the test writes the full actual output to
 // analysis_outputs.golden.actual in its working directory; after an
@@ -22,6 +24,7 @@
 #include <string_view>
 #include <vector>
 
+#include "app_benches.h"
 #include "common/hash.h"
 #include "fuzz/oracle.h"
 #include "fuzz/serialize.h"
@@ -44,6 +47,7 @@ constexpr Algorithm kSubjects[] = {
 };
 
 constexpr std::string_view kLedgerPrefix = "ledgers ";
+constexpr std::string_view kFig13Prefix = "fig13 ";
 
 std::filesystem::path golden_path() {
   return std::filesystem::path(VISRT_CORPUS_DIR) / "analysis_outputs.golden";
@@ -162,22 +166,47 @@ std::vector<std::string> ledger_lines() {
   return lines;
 }
 
-std::vector<std::string> golden_lines(bool ledgers) {
+/// The fig13 lines: Figure 13's configuration (bench/app_benches.h's
+/// run_circuit) at 256 nodes, one per paper system, times at full
+/// precision.
+std::vector<std::string> fig13_lines() {
+  std::vector<std::string> lines;
+  for (const bench::SystemConfig& sys : bench::paper_systems()) {
+    const RunStats st = bench::run_circuit(sys, 256).stats;
+    std::ostringstream os;
+    os << std::setprecision(17) << kFig13Prefix << sys.label
+       << " nodes=256 launches=" << st.launches
+       << " dep_edges=" << st.dep_edges << " messages=" << st.messages
+       << " init_time_s=" << st.init_time_s
+       << " total_time_s=" << st.total_time_s;
+    lines.push_back(os.str());
+  }
+  return lines;
+}
+
+/// A golden line's section: its prefix, or "" for a result line.
+std::string_view section_of(std::string_view line) {
+  for (std::string_view prefix : {kLedgerPrefix, kFig13Prefix})
+    if (line.starts_with(prefix)) return prefix;
+  return {};
+}
+
+std::vector<std::string> golden_lines(std::string_view section) {
   std::vector<std::string> lines;
   std::ifstream is(golden_path());
   std::string line;
   while (std::getline(is, line)) {
     if (line.empty() || line.front() == '#') continue;
-    if (line.starts_with(kLedgerPrefix) == ledgers) lines.push_back(line);
+    if (section_of(line) == section) lines.push_back(line);
   }
   return lines;
 }
 
 /// Compare line by line; on any mismatch dump the complete actual output
-/// (both sections) for regeneration.
+/// (all three sections) for regeneration.
 void expect_matches_golden(const std::vector<std::string>& actual,
-                           bool ledgers) {
-  const std::vector<std::string> expected = golden_lines(ledgers);
+                           std::string_view section) {
+  const std::vector<std::string> expected = golden_lines(section);
   EXPECT_EQ(actual.size(), expected.size()) << "golden: " << golden_path();
   bool same = actual.size() == expected.size();
   for (std::size_t i = 0; i < std::min(actual.size(), expected.size()); ++i) {
@@ -188,16 +217,21 @@ void expect_matches_golden(const std::vector<std::string>& actual,
   std::ofstream os("analysis_outputs.golden.actual");
   for (const std::string& line : result_lines()) os << line << "\n";
   for (const std::string& line : ledger_lines()) os << line << "\n";
+  for (const std::string& line : fig13_lines()) os << line << "\n";
   ADD_FAILURE() << "actual output written to "
                 << std::filesystem::absolute("analysis_outputs.golden.actual");
 }
 
 TEST(AnalysisGolden, ResultHashesMatchThePinnedGolden) {
-  expect_matches_golden(result_lines(), /*ledgers=*/false);
+  expect_matches_golden(result_lines(), "");
 }
 
 TEST(AnalysisGolden, LedgerDigestsMatchThePinnedGolden) {
-  expect_matches_golden(ledger_lines(), /*ledgers=*/true);
+  expect_matches_golden(ledger_lines(), kLedgerPrefix);
+}
+
+TEST(AnalysisGolden, Fig13StructureMatchesThePinnedGolden) {
+  expect_matches_golden(fig13_lines(), kFig13Prefix);
 }
 
 } // namespace
