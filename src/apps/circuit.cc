@@ -100,6 +100,9 @@ CircuitApp::CircuitApp(Runtime& rt, CircuitConfig cfg)
   fcurrent_ = rt_.add_field(wires_, "current", 0.0);
 
   // --- Serial reference ----------------------------------------------------
+  // validate() needs value tracking (Runtime::observe), so an untracked
+  // runtime gets no serial reference.
+  if (!rt_.config().track_values) return;
   ref_volt_.resize(static_cast<std::size_t>(total_nodes_));
   for (coord_t n = 0; n < total_nodes_; ++n)
     ref_volt_[static_cast<std::size_t>(n)] =
@@ -256,7 +259,7 @@ void CircuitApp::reference_step() {
 void CircuitApp::run() {
   for (int it = 0; it < cfg_.iterations; ++it) {
     launch_iteration();
-    reference_step();
+    if (rt_.config().track_values) reference_step();
   }
 }
 

@@ -81,7 +81,7 @@ private:
   std::vector<Wire> wire_list_;                 // indexed by wire id
   std::vector<std::vector<coord_t>> piece_wires_; // wire ids per piece
 
-  // Serial reference state.
+  // Serial reference state (kept only when the runtime tracks values).
   std::vector<double> ref_volt_, ref_charge_, ref_current_;
 };
 

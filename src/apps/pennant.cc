@@ -72,7 +72,9 @@ PennantApp::PennantApp(Runtime& rt, PennantConfig cfg)
   fdt_ = rt_.add_field(dtreg_, "dt",
                        std::numeric_limits<double>::infinity());
 
-  // Serial reference mirrors the initial state.
+  // Serial reference mirrors the initial state.  validate() needs value
+  // tracking (Runtime::observe), so an untracked runtime gets none.
+  if (!rt_.config().track_values) return;
   auto fill = [](std::vector<double>& v, coord_t n, auto gen) {
     v.resize(static_cast<std::size_t>(n));
     for (coord_t i = 0; i < n; ++i)
@@ -328,7 +330,7 @@ void PennantApp::reference_step() {
 void PennantApp::run() {
   for (int it = 0; it < cfg_.iterations; ++it) {
     launch_iteration();
-    reference_step();
+    if (rt_.config().track_values) reference_step();
   }
 }
 

@@ -83,10 +83,10 @@ private:
   PartitionHandle zone_parts_, own_parts_, ghost_parts_;
   FieldID zrho_, ze_, zp_, pf_, pu_, pm_, fdt_;
 
-  // Serial reference state.
+  // Serial reference state (kept only when the runtime tracks values).
   std::vector<double> ref_rho_, ref_e_, ref_p_;
   std::vector<double> ref_f_, ref_u_, ref_m_;
-  double ref_dt_state_;
+  double ref_dt_state_ = 0.0;
   double last_dt_ = 0.0;
   double ref_last_dt_ = 0.0;
 };

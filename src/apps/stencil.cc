@@ -46,6 +46,9 @@ StencilApp::StencilApp(Runtime& rt, StencilConfig cfg)
   fin_ = rt_.add_field(grid_, "in", initial);
   fout_ = rt_.add_field(grid_, "out", 0.0);
 
+  // validate() needs value tracking (Runtime::observe), so an untracked
+  // runtime gets no serial reference.
+  if (!rt_.config().track_values) return;
   ref_in_.resize(static_cast<std::size_t>(rows_ * cols_));
   ref_out_.assign(static_cast<std::size_t>(rows_ * cols_), 0.0);
   for (coord_t r = 0; r < rows_; ++r)
@@ -133,7 +136,7 @@ void StencilApp::reference_step() {
 void StencilApp::run() {
   for (int it = 0; it < cfg_.iterations; ++it) {
     launch_iteration();
-    reference_step();
+    if (rt_.config().track_values) reference_step();
   }
 }
 

@@ -73,7 +73,7 @@ private:
   PartitionHandle primary_, halo_;
   FieldID fin_, fout_;
 
-  // Serial reference state (maintained only when validating).
+  // Serial reference state (kept only when the runtime tracks values).
   mutable std::vector<double> ref_in_, ref_out_;
 };
 

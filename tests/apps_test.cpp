@@ -169,5 +169,37 @@ TEST(AppScaling, MorePiecesThanNodes) {
   EXPECT_TRUE(app.validate());
 }
 
+TEST(AppScaling, UntrackedRunsButCannotValidate) {
+  // Without value tracking the apps keep no serial reference: run() still
+  // drives the analysis, and validate() is refused by Runtime::observe.
+  RuntimeConfig cfg;
+  cfg.track_values = false;
+  cfg.machine.num_nodes = 2;
+  {
+    Runtime rt(cfg);
+    apps::StencilConfig scfg;
+    scfg.iterations = 2;
+    apps::StencilApp app(rt, scfg);
+    app.run();
+    EXPECT_THROW((void)app.validate(), ApiError);
+  }
+  {
+    Runtime rt(cfg);
+    apps::CircuitConfig ccfg;
+    ccfg.iterations = 2;
+    apps::CircuitApp app(rt, ccfg);
+    app.run();
+    EXPECT_THROW((void)app.validate(), ApiError);
+  }
+  {
+    Runtime rt(cfg);
+    apps::PennantConfig pcfg;
+    pcfg.iterations = 2;
+    apps::PennantApp app(rt, pcfg);
+    app.run();
+    EXPECT_THROW((void)app.validate(), ApiError);
+  }
+}
+
 } // namespace
 } // namespace visrt
