@@ -11,11 +11,11 @@
 // map decides *which bytes move between which nodes* to achieve it.
 //
 // Validity is one ordered interval map from point ranges to the set of
-// nodes holding them, and pending reductions are indexed by range the same
-// way, so an operation visits only the ranges its domain overlaps, never
-// every node.  This is the ownership lookup of distributed forests of
-// octrees: owners are found by searching a range partition, not by asking
-// every process.
+// nodes holding them, and pending reductions are indexed by where their
+// bounds lie, so an operation visits only the ranges and buffers its
+// domain overlaps, never every node.  This is the ownership lookup of
+// distributed forests of octrees: owners are found by searching a range
+// partition, not by asking every process.
 #pragma once
 
 #include <array>
@@ -115,7 +115,7 @@ private:
   /// A buffer's points still pending.  Buffers are indexed by the span of
   /// their bounds: level L holds those spanning at most 2^L points, keyed by
   /// first point, so a domain finds the buffers that may overlap it by
-  /// scanning each level from (domain start - 2^L) to its end.
+  /// scanning each level from (domain start - 2^L) to the domain's end.
   struct Pending {
     NodeID node;
     ReductionOpID redop;
@@ -138,7 +138,8 @@ private:
                 bool fill_gaps);
   /// Ids of the buffers whose bounds overlap those of `domain`, in
   /// creation order.
-  std::vector<std::uint64_t> overlapping_pending(const IntervalSet& domain) const;
+  std::vector<std::uint64_t>
+  overlapping_pending(const IntervalSet& domain) const;
   void erase_pending(std::map<std::uint64_t, Pending>::iterator it);
   /// Drop interned holder sets no run uses once the table has doubled.
   void compact_sets();
