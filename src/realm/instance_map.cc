@@ -10,11 +10,6 @@
 namespace visrt {
 
 namespace {
-/// Runs a seek steps over before it asks the root instead.  A domain's
-/// next interval often starts in the run where the last one ended, or the
-/// next; beyond that a root lookup is cheaper (consecutive rows of a
-/// Stencil tile lie tens of other tiles' runs apart).
-constexpr int kSeekSteps = 2;
 /// Interned holder sets tolerated before the first compaction (small, so
 /// the tests exercise compaction).
 constexpr std::size_t kMinCompact = 64;
@@ -27,7 +22,7 @@ int span_level(const Interval& b) {
 } // namespace
 
 InstanceMap::HolderSets::HolderSets(std::uint32_t nodes)
-    : nodes_(nodes), members_(1), sole_(nodes, kUnset) {}
+    : nodes_(nodes), members_(1) {}
 
 bool InstanceMap::HolderSets::contains(SetId s, NodeID n) const {
   if (s == kAllNodes) return true;
@@ -44,18 +39,13 @@ InstanceMap::SetId InstanceMap::HolderSets::intern(std::vector<NodeID> m) {
 }
 
 InstanceMap::SetId InstanceMap::HolderSets::sole(NodeID n) {
-  if (sole_[n] == kUnset) sole_[n] = intern({n});
-  return sole_[n];
+  return intern({n});
 }
 
 InstanceMap::SetId InstanceMap::HolderSets::with(SetId s, NodeID n) {
-  auto [it, fresh] = with_.try_emplace((std::uint64_t{s} << 32) | n, 0);
-  if (fresh) {
-    std::vector<NodeID> m = members_[s];
-    m.insert(std::upper_bound(m.begin(), m.end(), n), n);
-    it->second = intern(std::move(m));
-  }
-  return it->second;
+  std::vector<NodeID> m = members_[s];
+  m.insert(std::upper_bound(m.begin(), m.end(), n), n);
+  return intern(std::move(m));
 }
 
 InstanceMap::InstanceMap(std::uint32_t nodes, NodeID home, IntervalSet domain)
@@ -65,13 +55,7 @@ InstanceMap::InstanceMap(std::uint32_t nodes, NodeID home, IntervalSet domain)
     runs_.emplace_hint(runs_.end(), iv.lo, Run{iv.hi, kAllNodes});
 }
 
-InstanceMap::Runs::iterator InstanceMap::seek(Runs::iterator from,
-                                              coord_t pos) {
-  if (from != runs_.end()) {
-    for (int k = 0; k < kSeekSteps; ++k, ++from) {
-      if (from == runs_.end() || from->second.hi >= pos) return from;
-    }
-  }
+InstanceMap::Runs::iterator InstanceMap::seek(coord_t pos) {
   auto it = runs_.upper_bound(pos);
   if (it != runs_.begin() && std::prev(it)->second.hi >= pos) return --it;
   return it;
@@ -114,15 +98,13 @@ InstanceMap::Runs::iterator InstanceMap::merge(Runs::iterator it) {
 std::vector<CopyPlan> InstanceMap::plan_read(NodeID dst,
                                              const IntervalSet& domain) {
   require(dst < nodes_, "destination node out of range");
-  empty_pending_ = 0;
   std::vector<CopyPlan> plans;
 
   // 1. Fetch points not yet valid at dst, each from its lowest-numbered
   // holder; dst joins the holders of the whole domain.
   std::vector<std::pair<NodeID, Interval>> fetch;
-  auto it = runs_.end();
   for (const Interval& iv : domain.intervals()) {
-    it = seek(it, iv.lo);
+    auto it = seek(iv.lo);
     for (coord_t pos = iv.lo;; pos = it->second.hi + 1, ++it) {
       invariant(it != runs_.end() && it->first <= pos,
                 "instance map: some requested points valid nowhere");
@@ -170,9 +152,8 @@ std::vector<CopyPlan> InstanceMap::plan_read(NodeID dst,
 void InstanceMap::set_sole(NodeID node, const std::vector<Interval>& domain,
                            bool fill_gaps) {
   const SetId s = sets_.sole(node);
-  auto it = runs_.end();
   for (const Interval& iv : domain) {
-    it = seek(it, iv.lo);
+    auto it = seek(iv.lo);
     for (coord_t pos = iv.lo;; pos = it->second.hi + 1, ++it) {
       if (it == runs_.end() || it->first > pos) {
         // Points valid nowhere: a write makes them valid at the writer.
@@ -217,7 +198,6 @@ void InstanceMap::erase_pending(std::map<std::uint64_t, Pending>::iterator it) {
 
 void InstanceMap::record_write(NodeID node, const IntervalSet& domain) {
   require(node < nodes_, "writer node out of range");
-  empty_pending_ = 0;
   set_sole(node, domain.intervals(), /*fill_gaps=*/true);
   for (std::uint64_t id : overlapping_pending(domain)) {
     auto p = pending_.find(id);
@@ -231,10 +211,7 @@ void InstanceMap::record_write(NodeID node, const IntervalSet& domain) {
 void InstanceMap::record_reduction(NodeID node, const IntervalSet& domain,
                                    ReductionOpID redop) {
   require(node < nodes_, "reducer node out of range");
-  if (domain.empty()) {
-    ++empty_pending_;
-    return;
-  }
+  if (domain.empty()) return;
   const std::uint64_t id = next_pending_++;
   const Interval b = domain.bounds();
   pending_.emplace_hint(pending_.end(), id, Pending{node, redop, domain, b});

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <map>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -70,12 +69,8 @@ public:
   /// Points currently valid at a node, computed from the map (for tests /
   /// stats; linear in the number of ranges).
   IntervalSet valid_at(NodeID node) const;
-  /// Buffers with points still pending.  A buffer recorded over no points
-  /// counts until the next read or write, as the per-node map it replaced
-  /// did.
-  std::size_t pending_reductions() const {
-    return pending_.size() + empty_pending_;
-  }
+  /// Buffers with points still pending.
+  std::size_t pending_reductions() const { return pending_.size(); }
 
 private:
   /// Holder sets are interned: a range stores a 32-bit id, and equal sets
@@ -100,8 +95,6 @@ private:
     std::uint32_t nodes_;
     std::vector<std::vector<NodeID>> members_; ///< sorted; [kAllNodes] empty
     std::map<std::vector<NodeID>, SetId> ids_;
-    std::unordered_map<std::uint64_t, SetId> with_; ///< (s, n) -> s ∪ {n}
-    std::vector<SetId> sole_;
   };
 
   /// A maximal range [first, hi] with one holder set; ranges never overlap
@@ -116,6 +109,13 @@ private:
   /// their bounds: level L holds those spanning at most 2^L points, keyed by
   /// first point, so a domain finds the buffers that may overlap it by
   /// scanning each level from (domain start - 2^L) to the domain's end.
+  /// geom/interval_tree.h would serve too, but its splits are fixed by the
+  /// first item each tree node receives and never rebalance: on Circuit at
+  /// 256 nodes (RayCast, DCR) a query there visited 66 tree nodes on
+  /// average to find 5 candidates among 258 live buffers, and perfbench's
+  /// circuit_raycast_dcr `stmt_p50_us` rose 17% (4-core Xeon host).
+  /// Rebalancing that tree would change RayCast's traversal counts, which
+  /// the simulator charges for.
   struct Pending {
     NodeID node;
     ReductionOpID redop;
@@ -124,9 +124,8 @@ private:
   };
   using PendingIndex = std::set<std::pair<coord_t, std::uint64_t>>;
 
-  /// First run ending at or after `pos`, stepping forward from `from`
-  /// (end, or a run no later than that one) before asking the root.
-  Runs::iterator seek(Runs::iterator from, coord_t pos);
+  /// First run ending at or after `pos`.
+  Runs::iterator seek(coord_t pos);
   /// Give [lo, hi], which lies inside `it`, the holders `s`; returns the
   /// run that covers [lo, hi] after merging equal neighbours.
   Runs::iterator assign(Runs::iterator it, coord_t lo, coord_t hi, SetId s);
@@ -151,7 +150,6 @@ private:
   std::array<PendingIndex, 64> by_span_;
   std::uint64_t levels_ = 0; ///< bit L set when by_span_[L] is not empty
   std::uint64_t next_pending_ = 0;
-  std::size_t empty_pending_ = 0;
   std::size_t compact_at_;
 };
 
