@@ -636,41 +636,44 @@ RetireStats Runtime::retire(std::size_t max_dead_eqsets) {
 
   // ---- Work-graph freeze.  Retire the pop-order prefix of the DES
   // schedule: every resident op whose readiness lies strictly below the
-  // future floor, the earliest time any not-yet-emitted op can become
+  // future floor F, the earliest time any not-yet-emitted op can become
   // ready (every future op transitively waits on its launch's issue op,
-  // so the issue tails bound it — frozen tails keep bounding it through
-  // their recorded finishes, which new issue ops inherit as floors).
+  // so the relevant issue tails bound it — frozen tails keep bounding it
+  // through their recorded finishes, which new issue ops inherit as
+  // floors).  One pass of the DES loop finds them: F starts at the
+  // earliest frozen tail finish (0 while a relevant node has no tail yet)
+  // and drops to each live tail's finish as it pops, and the loop stops
+  // at the first op not below F.  Issue ops have positive cost, so a tail
+  // finishes strictly after every earlier pop became ready.
   //
   // Under the earliest-ready-then-id policy those ops pop — and acquire
   // resources — strictly before every other resident or future op, so
-  // their start and finish times are final, and the resource state after
-  // exactly those pops is a valid checkpoint for replaying the
-  // survivors.  The set is dependence-closed for free: a dependence
-  // finishes before its user becomes ready, and an op's readiness never
-  // precedes its own.  An id-prefix cut would avoid remapping op ids,
-  // but wedges permanently on pipelined streams: the issue chain runs
-  // ahead of the backlogged analysis it feeds, so late issue ops forever
-  // become ready before early analysis ops finish.
+  // their start and finish times are final, and the resource state the
+  // pass stops in is a valid checkpoint for replaying the survivors.  The
+  // set is dependence-closed for free: a dependence finishes before its
+  // user becomes ready, and an op's readiness never precedes its own.  An
+  // id-prefix cut would avoid remapping op ids, but wedges permanently on
+  // pipelined streams: the issue chain runs ahead of the backlogged
+  // analysis it feeds, so late issue ops forever become ready before
+  // early analysis ops finish.
   const sim::OpID old_base = graph_.base();
-  if (graph_.size() > old_base) {
-    sim::ReplayResult r = sim::replay(graph_, config_.machine, &ckpt_);
+  SimTime floor = std::numeric_limits<SimTime>::max();
+  std::vector<sim::OpID> live_tails;
+  const NodeID relevant = config_.dcr ? config_.machine.num_nodes : 1;
+  for (NodeID n = 0; n < relevant; ++n) {
+    if (issue_tail_[n] == sim::kFrozenOp)
+      floor = std::min(floor, issue_tail_finish_[n]);
+    else if (issue_tail_[n] == sim::kInvalidOp)
+      floor = 0;
+    else
+      live_tails.push_back(issue_tail_[n]);
+  }
+  if (graph_.size() > old_base && floor > 0) {
+    sim::ReplayResult r = sim::replay_below_floor(graph_, config_.machine,
+                                                  ckpt_, floor, live_tails);
+    const SimTime future_floor = r.floor;
 
-    SimTime future_floor = std::numeric_limits<SimTime>::max();
-    const NodeID relevant = config_.dcr ? config_.machine.num_nodes : 1;
-    for (NodeID n = 0; n < relevant; ++n) {
-      SimTime t = 0;
-      if (issue_tail_[n] == sim::kFrozenOp)
-        t = issue_tail_finish_[n];
-      else if (issue_tail_[n] != sim::kInvalidOp)
-        t = r.finish_of(issue_tail_[n]);
-      future_floor = std::min(future_floor, t);
-    }
-
-    std::size_t retiring_count = 0;
-    for (SimTime t : r.ready)
-      if (t < future_floor) ++retiring_count;
-
-    if (retiring_count != 0) {
+    if (r.scheduled != 0) {
       auto retiring = [&](sim::OpID t) {
         return t != sim::kInvalidOp && t != sim::kFrozenOp &&
                r.ready_of(t) < future_floor;
@@ -726,18 +729,14 @@ RetireStats Runtime::retire(std::size_t max_dead_eqsets) {
         ++sched_frontier_;
       }
 
-      // Second pass: capture the resource state the retiring pop-prefix
-      // leaves behind, then drop the records and remap every surviving
-      // reference (compaction shifts the survivors' ids).
-      sim::ReplayCheckpoint next_ckpt;
-      sim::replay_split(graph_, config_.machine, &ckpt_, future_floor,
-                        next_ckpt);
+      // Drop the records and remap every surviving reference (compaction
+      // shifts the survivors' ids).  Every popped op has ready < F and
+      // every other op ready >= F, so compaction drops exactly the pops.
       std::vector<sim::OpID> remap;
       out.retired_ops =
           graph_.retire_ready_before(r.ready, future_floor, r.finish, remap);
-      invariant(out.retired_ops == retiring_count,
-                "retirement dropped a different op set than it froze");
-      ckpt_ = std::move(next_ckpt);
+      invariant(out.retired_ops == r.scheduled,
+                "retirement dropped a different op set than the pass popped");
       auto remap_ref = [&](sim::OpID& t) {
         if (t != sim::kInvalidOp && t != sim::kFrozenOp)
           t = remap[t - old_base];

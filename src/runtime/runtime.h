@@ -345,12 +345,13 @@ public:
 
   /// Retire everything provably final, bounding resident memory for
   /// unbounded streams:
-  ///   1. Work-graph freeze — retire the pop-order prefix of the DES
-  ///      schedule (every resident op that becomes ready before any
-  ///      future op possibly can; see docs/SERVING.md for the argument),
-  ///      fold its finish times into the rolling schedule hash and into
-  ///      per-reference floors, then drop the op records and advance the
-  ///      replay checkpoint.
+  ///   1. Work-graph freeze — one pass of the DES loop from the replay
+  ///      checkpoint pops the prefix of the schedule that becomes ready
+  ///      before any future op possibly can (see docs/SERVING.md for the
+  ///      argument) and stops there, advancing the checkpoint in place to
+  ///      the next cut; the popped ops' finish times fold into the rolling
+  ///      schedule hash and into per-reference floors, then their records
+  ///      are dropped.
   ///   2. Launch retirement — drop dep-graph predecessor lists and launch
   ///      records below min(engine watermark, schedule frontier).
   ///   3. Engine compaction — collapse dead eq-set husks once more than
@@ -460,7 +461,7 @@ private:
   LaunchID sched_frontier_ = 0;
   std::uint64_t sched_hash_ = kFnvOffsetBasis;
   /// Resource state at the work-graph retirement cut; seeds every replay
-  /// of the resident window.
+  /// of the resident window, and retire()'s pass advances it in place.
   sim::ReplayCheckpoint ckpt_;
 
   /// Cumulative analysis CPU per node (always accumulated: one add per

@@ -19,81 +19,74 @@ struct ReadyOp {
 
 } // namespace
 
-namespace {
-
-ReplayResult replay_impl(const WorkGraph& graph, const MachineConfig& machine,
-                         const ReplayCheckpoint* start,
-                         ReplayCheckpoint* end_state, OpID limit,
-                         SimTime cut_bound, ReplayCheckpoint* cut_state) {
+// The one event loop; `replay` is its drain form.
+ReplayResult replay_below_floor(const WorkGraph& graph,
+                                const MachineConfig& machine,
+                                ReplayCheckpoint& state, SimTime floor,
+                                std::span<const OpID> lowering) {
   machine.validate();
   const OpID base = graph.base();
-  const OpID end = static_cast<OpID>(
-      std::min<std::size_t>(limit, graph.size()));
-  invariant(end >= base, "replay limit precedes the graph base");
-  const std::size_t n = end - base;
+  const std::size_t n = graph.size() - base;
   ReplayResult result;
   result.base = base;
   result.finish.assign(n, 0);
-  result.ready.assign(n, 0);
-  result.node_busy.assign(machine.num_nodes, 0);
-
-  // Dependence bookkeeping: count of unfinished deps, and reverse edges.
-  // Dependences always point backwards, so an id-prefix window is closed.
-  std::vector<std::uint32_t> pending(n, 0);
-  std::vector<std::vector<OpID>> users(n);
-  for (OpID id = base; id < end; ++id) {
-    auto deps = graph.deps(id);
-    pending[id - base] = static_cast<std::uint32_t>(deps.size());
-    for (OpID d : deps) users[d - base].push_back(id);
-  }
+  result.ready.resize(n);
+  std::vector<SimTime>& ready_time = result.ready;
 
   // Per-resource next-free times.  Each node has a runtime CPU (analysis,
   // handlers), an accelerator for leaf tasks (the paper's evaluation maps
-  // every task to the node's GPU), and a NIC in each direction.  A start
+  // every task to the node's GPU), and a NIC in each direction.  A
   // checkpoint resumes from the state a retired prefix left behind.
-  std::vector<SimTime> cpu_free(machine.num_nodes, 0);
-  std::vector<SimTime> accel_free(machine.num_nodes, 0);
-  std::vector<SimTime> nic_out_free(machine.num_nodes, 0);
-  std::vector<SimTime> nic_in_free(machine.num_nodes, 0);
-  if (start != nullptr && !start->empty()) {
-    invariant(start->cpu_free.size() == machine.num_nodes,
-              "replay checkpoint does not match the machine");
-    cpu_free = start->cpu_free;
-    accel_free = start->accel_free;
-    nic_out_free = start->nic_out_free;
-    nic_in_free = start->nic_in_free;
-    result.node_busy = start->node_busy;
-    result.makespan = start->makespan;
+  if (state.empty()) {
+    state.cpu_free.assign(machine.num_nodes, 0);
+    state.accel_free.assign(machine.num_nodes, 0);
+    state.nic_out_free.assign(machine.num_nodes, 0);
+    state.nic_in_free.assign(machine.num_nodes, 0);
+    state.node_busy.assign(machine.num_nodes, 0);
+    state.makespan = 0;
   }
+  invariant(state.cpu_free.size() == machine.num_nodes,
+            "replay checkpoint does not match the machine");
+  std::vector<SimTime>& cpu_free = state.cpu_free;
+  std::vector<SimTime>& accel_free = state.accel_free;
+  std::vector<SimTime>& nic_out_free = state.nic_out_free;
+  std::vector<SimTime>& nic_in_free = state.nic_in_free;
+  std::vector<SimTime>& node_busy = state.node_busy;
+
+  // Dependence bookkeeping: unfinished-dependence counts, and the reverse
+  // edges as one flat array — the users of slot i are
+  // users[first_user[i], first_user[i + 1]).  Dependences always point
+  // backwards into the resident window.
+  std::vector<std::uint32_t> pending(n);
+  std::vector<std::uint32_t> first_user(n + 2, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Op& op = graph.op(base + static_cast<OpID>(i));
+    pending[i] = op.dep_count;
+    ready_time[i] = op.floor;
+    for (OpID d : graph.deps(base + static_cast<OpID>(i)))
+      ++first_user[d - base + 2];
+  }
+  for (std::size_t i = 2; i < n + 2; ++i) first_user[i] += first_user[i - 1];
+  std::vector<OpID> users(first_user[n + 1]);
+  for (std::size_t i = 0; i < n; ++i) {
+    const OpID id = base + static_cast<OpID>(i);
+    for (OpID d : graph.deps(id)) users[first_user[d - base + 1]++] = id;
+  }
+
+  std::vector<std::uint8_t> lowers(lowering.empty() ? 0 : n, 0);
+  for (OpID t : lowering) lowers[t - base] = 1;
 
   std::priority_queue<ReadyOp, std::vector<ReadyOp>, std::greater<ReadyOp>>
       ready;
-  std::vector<SimTime>& ready_time = result.ready;
-  for (OpID id = base; id < end; ++id)
-    ready_time[id - base] = graph.op(id).floor;
-  for (OpID id = base; id < end; ++id) {
-    if (pending[id - base] == 0) ready.push(ReadyOp{ready_time[id - base], id});
-  }
+  for (std::size_t i = 0; i < n; ++i)
+    if (pending[i] == 0)
+      ready.push(ReadyOp{ready_time[i], base + static_cast<OpID>(i)});
 
-  // The pop sequence is ordered by (readiness, id), so the ops below
-  // `cut_bound` form a prefix of it: snapshot the resource state the
-  // moment the first at-or-above-bound op pops.
-  bool cut_taken = cut_state == nullptr;
-  auto take_cut = [&] {
-    cut_state->cpu_free = cpu_free;
-    cut_state->accel_free = accel_free;
-    cut_state->nic_out_free = nic_out_free;
-    cut_state->nic_in_free = nic_in_free;
-    cut_state->node_busy = result.node_busy;
-    cut_state->makespan = result.makespan;
-    cut_taken = true;
-  };
-
-  std::size_t executed = 0;
-  while (!ready.empty()) {
+  SimTime last_at = 0;
+  while (!ready.empty() && ready.top().ready < floor) {
     auto [at, id] = ready.top();
     ready.pop();
-    if (!cut_taken && at >= cut_bound) take_cut();
+    const std::size_t i = id - base;
     const Op& op = graph.op(id);
     invariant(op.node < machine.num_nodes, "op placed on nonexistent node");
 
@@ -107,7 +100,7 @@ ReplayResult replay_impl(const WorkGraph& graph, const MachineConfig& machine,
       SimTime start_at = std::max(at, res[op.node]);
       fin = start_at + op.cost;
       res[op.node] = fin;
-      result.node_busy[op.node] += op.cost;
+      node_busy[op.node] += op.cost;
       break;
     }
     case OpKind::Message: {
@@ -117,7 +110,7 @@ ReplayResult replay_impl(const WorkGraph& graph, const MachineConfig& machine,
         SimTime start_at = std::max(at, cpu_free[op.node]);
         fin = start_at + machine.message_handler_ns;
         cpu_free[op.node] = fin;
-        result.node_busy[op.node] += machine.message_handler_ns;
+        node_busy[op.node] += machine.message_handler_ns;
         break;
       }
       SimTime xfer =
@@ -128,7 +121,7 @@ ReplayResult replay_impl(const WorkGraph& graph, const MachineConfig& machine,
       SimTime inject_start = std::max(at, cpu_free[op.node]);
       SimTime injected = inject_start + machine.message_handler_ns;
       cpu_free[op.node] = injected;
-      result.node_busy[op.node] += machine.message_handler_ns;
+      node_busy[op.node] += machine.message_handler_ns;
       SimTime send_start = std::max(injected, nic_out_free[op.node]);
       SimTime wire_done = send_start + xfer + machine.network_latency_ns;
       nic_out_free[op.node] = send_start + xfer;
@@ -140,7 +133,7 @@ ReplayResult replay_impl(const WorkGraph& graph, const MachineConfig& machine,
       SimTime handler_start = std::max(recv_done, cpu_free[op.dst]);
       fin = handler_start + machine.message_handler_ns;
       cpu_free[op.dst] = fin;
-      result.node_busy[op.dst] += machine.message_handler_ns;
+      node_busy[op.dst] += machine.message_handler_ns;
       break;
     }
     case OpKind::Marker:
@@ -148,44 +141,42 @@ ReplayResult replay_impl(const WorkGraph& graph, const MachineConfig& machine,
       break;
     }
 
-    result.finish[id - base] = fin;
-    result.makespan = std::max(result.makespan, fin);
-    ++executed;
+    result.finish[i] = fin;
+    state.makespan = std::max(state.makespan, fin);
+    ++result.scheduled;
+    last_at = at;
+    if (!lowers.empty() && lowers[i]) floor = std::min(floor, fin);
 
-    for (OpID user : users[id - base]) {
-      std::size_t u = user - base;
+    for (std::uint32_t k = first_user[i]; k < first_user[i + 1]; ++k) {
+      const std::size_t u = users[k] - base;
       ready_time[u] = std::max(ready_time[u], fin);
-      if (--pending[u] == 0) ready.push(ReadyOp{ready_time[u], user});
+      if (--pending[u] == 0) ready.push(ReadyOp{ready_time[u], users[k]});
     }
   }
 
-  invariant(executed == n, "work graph contains a dependence cycle");
-  if (!cut_taken) take_cut();
-
-  if (end_state != nullptr) {
-    end_state->cpu_free = std::move(cpu_free);
-    end_state->accel_free = std::move(accel_free);
-    end_state->nic_out_free = std::move(nic_out_free);
-    end_state->nic_in_free = std::move(nic_in_free);
-    end_state->node_busy = result.node_busy;
-    end_state->makespan = result.makespan;
+  // Pops never decrease in readiness, so the last one bounds them all.
+  invariant(result.scheduled == 0 || last_at < floor,
+            "an op popped at or above the floor it lowered");
+  if (result.scheduled < n) {
+    // Ops still waiting on an unscheduled dependence become ready no
+    // earlier than it, which is at or above the floor.
+    for (std::size_t i = 0; i < n; ++i)
+      if (pending[i] != 0) ready_time[i] = std::max(ready_time[i], floor);
   }
+  result.floor = floor;
+  result.makespan = state.makespan;
+  result.node_busy = state.node_busy;
   return result;
 }
 
-} // namespace
-
 ReplayResult replay(const WorkGraph& graph, const MachineConfig& machine,
-                    const ReplayCheckpoint* start,
-                    ReplayCheckpoint* end_state, OpID limit) {
-  return replay_impl(graph, machine, start, end_state, limit, 0, nullptr);
-}
-
-ReplayResult replay_split(const WorkGraph& graph, const MachineConfig& machine,
-                          const ReplayCheckpoint* start, SimTime ready_bound,
-                          ReplayCheckpoint& cut_state) {
-  return replay_impl(graph, machine, start, nullptr, kInvalidOp, ready_bound,
-                     &cut_state);
+                    const ReplayCheckpoint* start) {
+  ReplayCheckpoint state = start != nullptr ? *start : ReplayCheckpoint{};
+  ReplayResult result = replay_below_floor(
+      graph, machine, state, std::numeric_limits<SimTime>::max(), {});
+  invariant(result.scheduled == result.finish.size(),
+            "work graph contains a dependence cycle");
+  return result;
 }
 
 } // namespace visrt::sim

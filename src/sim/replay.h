@@ -7,13 +7,17 @@
 // time of a designated marker) is the simulated wall-clock measurement the
 // benchmarks report.
 //
-// Retired graphs replay incrementally: a ReplayCheckpoint carries the
-// per-resource next-free times (plus cumulative busy/makespan totals) at a
-// retirement cut, so replaying the resident window from the checkpoint
-// yields exactly the finish times a whole-stream replay would have
-// produced for those ops.
+// One event loop pops ops in (ready, id) order and serves both entry
+// points.  `replay` drains the resident window from a ReplayCheckpoint —
+// the per-resource next-free times (plus cumulative busy/makespan) at a
+// retirement cut — so its finish times equal a whole-stream replay's.
+// `replay_below_floor` is retirement's single pass: it pops only while
+// readiness stays below the future floor and advances the checkpoint in
+// place, so the state where it stops is the next cut.
 #pragma once
 
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "sim/machine.h"
@@ -42,30 +46,32 @@ struct ReplayResult {
   std::vector<SimTime> ready;  ///< dependence-readiness time per op
   SimTime makespan = 0;        ///< max finish time (cumulative with start)
   std::vector<SimTime> node_busy; ///< CPU busy per node (cumulative)
+  std::size_t scheduled = 0;   ///< ops popped (the whole window when drained)
+  /// The floor F the loop stopped at: every scheduled op has ready < F.
+  SimTime floor = std::numeric_limits<SimTime>::max();
 
   SimTime finish_of(OpID id) const { return finish[id - base]; }
   SimTime ready_of(OpID id) const { return ready[id - base]; }
 };
 
-/// Schedule the resident window [graph.base(), min(limit, graph.size())).
+/// Schedule the whole resident window [graph.base(), graph.size()).
 /// Deterministic: ties broken by op id.  `start` seeds resource state from
-/// a prior retirement cut (fresh machine when null); when `end_state` is
-/// non-null the post-window resource state is written there.  `limit`
-/// restricts the replay to an id-prefix of the window (the prefix must be
-/// dependence-closed, which any id-prefix is).
+/// a prior retirement cut (fresh machine when null or empty).
 ReplayResult replay(const WorkGraph& graph, const MachineConfig& machine,
-                    const ReplayCheckpoint* start = nullptr,
-                    ReplayCheckpoint* end_state = nullptr,
-                    OpID limit = kInvalidOp);
+                    const ReplayCheckpoint* start = nullptr);
 
-/// Replay the whole resident window, additionally capturing in `cut_state`
-/// the resource state after the pop-order prefix of ops whose readiness is
-/// strictly below `ready_bound`.  Pops are ordered by (readiness, id), so
-/// that set is a prefix of the pop sequence and `cut_state` is exactly the
-/// state a replay of those ops alone would leave behind — the retirement
-/// checkpoint (see Runtime::retire for the finality argument).
-ReplayResult replay_split(const WorkGraph& graph, const MachineConfig& machine,
-                          const ReplayCheckpoint* start, SimTime ready_bound,
-                          ReplayCheckpoint& cut_state);
+/// Retirement pass: schedule the resident window from `state` while the
+/// next op's readiness is below the floor F, advancing `state` in place to
+/// the resource state those pops leave behind.  F starts at `floor` and
+/// drops to the finish of each `lowering` op that pops.  Pops run in
+/// nondecreasing readiness, so the scheduled ops are exactly those whose
+/// final readiness is below the final F — provided each lowering op
+/// finishes strictly after it becomes ready (checked).  `finish` / `ready`
+/// are exact for the scheduled ops; every other op's `ready` is a lower
+/// bound of at least `result.floor`.
+ReplayResult replay_below_floor(const WorkGraph& graph,
+                                const MachineConfig& machine,
+                                ReplayCheckpoint& state, SimTime floor,
+                                std::span<const OpID> lowering);
 
 } // namespace visrt::sim
