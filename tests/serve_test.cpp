@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -49,10 +50,12 @@ std::string serialize(const fuzz::ProgramSpec& spec) {
 
 /// A long figure-5-shaped ghost-exchange stream: `pieces` disjoint primary
 /// pieces, an aliased ghost partition, two fields swapped per step.
-std::string ghost_stream(std::size_t pieces, std::size_t steps) {
+std::string ghost_stream(std::size_t pieces, std::size_t steps,
+                         std::size_t nodes = 4, bool dcr = false) {
   std::ostringstream os;
   os << "visprog 1\n"
-     << "config nodes=4 dcr=0 tracing=0 subject=raycast\n"
+     << "config nodes=" << nodes << " dcr=" << dcr
+     << " tracing=0 subject=raycast\n"
      << "tree A " << 10 * pieces << "\n"
      << "partition P parent=0";
   for (std::size_t p = 0; p < pieces; ++p)
@@ -133,6 +136,45 @@ TEST(ServeSession, RetirementEquivalence) {
     // The resident window's DES schedule still honors every resident
     // dependence edge after retirement.
     EXPECT_EQ(fuzz::validate_schedule(*live.runtime), "")
+        << "retire_every=" << retire_every;
+  }
+}
+
+// Under DCR every node's issue chain bounds the future floor, so a cut
+// must wait for the slowest of 64 tails.  Retiring at two cadences must
+// leave every hash and the simulated times of a session that never
+// retires unchanged.
+TEST(ServeSession, RetirementEquivalenceUnderDcrAtSixtyFourNodes) {
+  const std::string prog = ghost_stream(64, 40, 64, true);
+  auto run = [&prog](std::size_t retire_every) {
+    serve::SessionOptions so;
+    so.retire_every = retire_every;
+    if (retire_every == 0) so.max_resident_launches = 0; // the cap retires too
+    auto session = std::make_unique<serve::StreamSession>(so);
+    feed_chunked(*session, prog, 4096);
+    return session;
+  };
+  const auto off = run(0);
+  ASSERT_NE(off->runtime(), nullptr);
+  EXPECT_EQ(off->counters().retired_ops, 0u);
+  const RunStats want = off->runtime()->stats();
+  for (std::size_t retire_every : {std::size_t{16}, std::size_t{1024}}) {
+    const auto on = run(retire_every);
+    ASSERT_NE(on->runtime(), nullptr);
+    EXPECT_GT(on->counters().retired_ops, 0u)
+        << "retire_every=" << retire_every;
+    EXPECT_EQ(on->result().dep_graph_hash, off->result().dep_graph_hash)
+        << "retire_every=" << retire_every;
+    EXPECT_EQ(on->result().schedule_hash, off->result().schedule_hash)
+        << "retire_every=" << retire_every;
+    EXPECT_EQ(on->result().value_hash, off->result().value_hash)
+        << "retire_every=" << retire_every;
+    EXPECT_EQ(on->result().final_hashes, off->result().final_hashes)
+        << "retire_every=" << retire_every;
+    const RunStats got = on->runtime()->stats();
+    EXPECT_EQ(got.init_time_s, want.init_time_s)
+        << "retire_every=" << retire_every;
+    EXPECT_EQ(got.total_time_s, want.total_time_s)
         << "retire_every=" << retire_every;
   }
 }
