@@ -17,6 +17,8 @@ namespace visrt::sim {
 
 struct CostModel {
   /// Fixed cost to start analyzing one region requirement of one launch.
+  /// With trace_replay_ns and dcr_stream_ns it prices the issue ops, which
+  /// must cost more than zero for Runtime::retire's one-pass cut.
   SimTime requirement_base_ns = 500;
 
   /// Painter: examining one history entry during paint()/dependence walk.
