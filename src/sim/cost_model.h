@@ -11,6 +11,7 @@
 //     keeps the number of live sets small by coalescing on writes.
 #pragma once
 
+#include "common/check.h"
 #include "common/types.h"
 
 namespace visrt::sim {
@@ -18,7 +19,7 @@ namespace visrt::sim {
 struct CostModel {
   /// Fixed cost to start analyzing one region requirement of one launch.
   /// With trace_replay_ns and dcr_stream_ns it prices the issue ops, which
-  /// must cost more than zero for Runtime::retire's one-pass cut.
+  /// must cost more than zero (validate()).
   SimTime requirement_base_ns = 500;
 
   /// Painter: examining one history entry during paint()/dependence walk.
@@ -74,6 +75,16 @@ struct CostModel {
   /// the stream, owned or not.  This is the source of DCR's residual
   /// linear growth with machine size.
   SimTime dcr_stream_ns = 50;
+
+  /// Runtime::retire's one-pass cut stops at the future floor, the
+  /// earliest finish of a node's issue chain.  A zero-cost issue op on an
+  /// idle CPU finishes at its own readiness, so the ops popped at that
+  /// readiness would sit on the floor instead of below it.
+  void validate() const {
+    require(requirement_base_ns > 0, "requirement_base_ns must be positive");
+    require(trace_replay_ns > 0, "trace_replay_ns must be positive");
+    require(dcr_stream_ns > 0, "dcr_stream_ns must be positive");
+  }
 };
 
 } // namespace visrt::sim

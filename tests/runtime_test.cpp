@@ -285,6 +285,18 @@ TEST(Runtime, LaunchValidation) {
                ApiError);
 }
 
+TEST(Runtime, IssueOpCostsMustBePositive) {
+  // A zero-cost issue op would finish on the retirement floor it sets.
+  EXPECT_NO_THROW(Runtime{RuntimeConfig{}});
+  for (SimTime sim::CostModel::*cost :
+       {&sim::CostModel::requirement_base_ns, &sim::CostModel::trace_replay_ns,
+        &sim::CostModel::dcr_stream_ns}) {
+    RuntimeConfig config;
+    config.costs.*cost = 0;
+    EXPECT_THROW(Runtime{config}, ApiError);
+  }
+}
+
 TEST(Runtime, FieldsOnlyOnRoots) {
   Runtime rt(make_config(Algorithm::RayCast, 1));
   RegionHandle r = rt.create_region(IntervalSet(0, 9), "r");
