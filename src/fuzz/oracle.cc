@@ -7,7 +7,6 @@
 #include "analysis/spy.h"
 #include "common/check.h"
 #include "runtime/runtime.h"
-#include "sim/replay.h"
 
 namespace visrt::fuzz {
 
@@ -236,39 +235,23 @@ LiveRun run_program_live(const ProgramSpec& spec,
 std::string validate_schedule(const Runtime& runtime) {
   const DepGraph& deps = runtime.dep_graph();
   const LaunchID base = runtime.launch_base();
-  sim::ReplayResult replay = runtime.replay_graph();
-  // Execution window of a resident launch: from the replay for live ops,
-  // from the frozen side-tables for ops retired out of the work graph.
-  // Returns false for launches with no execution op (pure-analysis ones).
-  auto window = [&](LaunchID id, SimTime& start, SimTime& finish) {
-    sim::OpID e = runtime.exec_of(id);
-    if (e == sim::kInvalidOp) return false;
-    if (e == sim::kFrozenOp) {
-      start = runtime.frozen_exec_start(id);
-      finish = runtime.frozen_exec_finish(id);
-    } else {
-      finish = replay.finish_of(e);
-      start = finish - runtime.work_graph().op(e).cost;
-    }
-    return true;
-  };
+  // Launches with no execution op (pure-analysis ones) have no window.
+  const std::vector<ExecWindow> windows = runtime.exec_windows();
   for (LaunchID to = base; to < deps.task_count(); ++to) {
-    SimTime to_start = 0;
-    SimTime to_finish = 0;
-    if (!window(to, to_start, to_finish)) continue;
+    const ExecWindow& wt = windows[to - base];
+    if (!wt.valid) continue;
     for (LaunchID from : deps.preds(to)) {
       // Dependences on retired launches fold into the dependent op's
       // readiness floor (WorkGraph::retire_prefix), so the replay already
       // enforces them; only resident predecessors need checking here.
       if (from < base) continue;
-      SimTime from_start = 0;
-      SimTime from_finish = 0;
-      if (!window(from, from_start, from_finish)) continue;
-      if (from_finish > to_start) {
+      const ExecWindow& wf = windows[from - base];
+      if (!wf.valid) continue;
+      if (wf.finish > wt.start) {
         std::ostringstream os;
-        os << "launch " << to << " starts at " << to_start
+        os << "launch " << to << " starts at " << wt.start
            << "ns before its dependence " << from << " finishes at "
-           << from_finish << "ns";
+           << wf.finish << "ns";
         return os.str();
       }
     }
@@ -286,9 +269,8 @@ std::string validate_schedule(const Runtime& runtime) {
   };
   std::vector<Window> order;
   for (LaunchID id = base; id < deps.task_count(); ++id) {
-    SimTime start = 0;
-    SimTime finish = 0;
-    if (window(id, start, finish)) order.push_back({start, finish, id});
+    const ExecWindow& w = windows[id - base];
+    if (w.valid) order.push_back({w.start, w.finish, id});
   }
   std::sort(order.begin(), order.end(), [](const Window& x, const Window& y) {
     return x.start != y.start ? x.start < y.start : x.id < y.id;

@@ -191,6 +191,13 @@ struct TaskLaunch {
   coord_t work_items = 0;
 };
 
+/// Simulated execution window of one launch (Runtime::exec_windows).
+struct ExecWindow {
+  SimTime start = 0;
+  SimTime finish = 0;
+  bool valid = false; ///< false: the launch has no execution op
+};
+
 /// Result of one Runtime::retire() call: where the resident windows start
 /// afterwards, and how much this call reclaimed.
 struct RetireStats {
@@ -232,21 +239,13 @@ public:
   EngineStats engine_stats() const { return engine_->stats(); }
   const RuntimeConfig& config() const { return config_; }
 
-  /// Work-graph task-execution op of each *resident* launch, indexed by
-  /// LaunchID - launch_base() (kInvalidOp for launches without an
-  /// execution op, e.g. observe(); sim::kFrozenOp once retire() froze the
-  /// op — its final window is then exec_of/frozen_exec_*).  Lets external
-  /// validators — the fuzzer's schedule checker — relate the dependence
-  /// DAG to the replayed DES schedule.
-  std::span<const sim::OpID> exec_ops() const { return exec_op_; }
-
-  /// Execution op of a resident launch (kInvalidOp / sim::kFrozenOp as in
-  /// exec_ops()).
-  sim::OpID exec_of(LaunchID id) const;
-  /// Final execution window of a launch whose exec op was frozen by
-  /// retire() (only valid when exec_of(id) == sim::kFrozenOp).
-  SimTime frozen_exec_start(LaunchID id) const;
-  SimTime frozen_exec_finish(LaunchID id) const;
+  /// Simulated execution window of each *resident* launch, indexed by
+  /// LaunchID - launch_base(), from one replay_graph(): a live execution
+  /// op spans [finish - cost, finish), one frozen by retire() keeps the
+  /// window it had then, and a launch without one (observe()) has none.
+  /// Lets external validators — the spy and the fuzzer's schedule checker
+  /// — relate the dependence DAG to the replayed DES schedule.
+  std::vector<ExecWindow> exec_windows() const;
 
   /// Requirements of every *resident* analyzed launch, indexed by
   /// LaunchID - launch_base().  Empty unless
@@ -376,6 +375,9 @@ public:
   void export_chrome_trace(std::ostream& os) const;
 
 private:
+  /// exec_op_ entry of a resident launch, bounds-checked.
+  sim::OpID exec_of(LaunchID id) const;
+
   /// Analysis steps -> work-graph ops; returns the tails every consumer
   /// of the analysis (copies, the task execution) must wait on.  `launch`
   /// stamps the message-ledger records of remote steps.
