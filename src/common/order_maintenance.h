@@ -3,7 +3,7 @@
 // O(1) precedence queries over a dynamically growing dependence DAG — the
 // order-maintenance structure DePa-style ("Simple, Provably Efficient, and
 // Practical Order Maintenance for Task Parallelism", PAPERS.md) that
-// replaces the spy verifier's BitMatrix transitive closure.
+// replaces the spy verifier's old O(n²)-memory transitive closure.
 //
 // Nodes are appended in program order (which is a topological order: every
 // dependence edge points backwards in id space).  Each node is assigned to

@@ -277,14 +277,13 @@ void StreamSession::apply_item(const StreamItem& item) {
 
 void StreamSession::drain_verify() {
   if (verifier_ == nullptr || runtime_ == nullptr) return;
-  const std::size_t before = verifier_->peek().violations.size();
-  verifier_->drain(*runtime_);
+  std::span<const analysis::SpyViolation> recorded =
+      verifier_->drain(*runtime_);
   const analysis::SpyReport& tally = verifier_->peek();
-  counters_.verified_launches = verifier_->drained();
+  counters_.verified_launches = tally.launches;
   counters_.verify_violations = tally.unordered_pairs + tally.imprecise_edges;
   if (options_.on_error) {
-    for (std::size_t i = before; i < tally.violations.size(); ++i) {
-      const analysis::SpyViolation& v = tally.violations[i];
+    for (const analysis::SpyViolation& v : recorded) {
       options_.on_error(
           std::string("verify: ") +
           analysis::spy_violation_kind_name(v.kind) + ": launch " +
