@@ -20,11 +20,12 @@ namespace visrt {
 namespace {
 
 template <typename Engine>
-void drive(benchmark::State& state, typename Engine::Options options) {
+void drive(benchmark::State& state, const EngineTuning& tuning) {
   bench::Workload w(static_cast<int>(state.range(0)));
-  EngineStats s = bench::time_passes(state, w, [&] {
-    return std::make_unique<Engine>(w.engine_config(), options);
-  });
+  EngineConfig config = w.engine_config();
+  config.tuning = tuning;
+  EngineStats s = bench::time_passes(
+      state, w, [&] { return std::make_unique<Engine>(config); });
   state.counters["live_eqsets"] = static_cast<double>(s.live_eqsets);
   state.counters["created"] = static_cast<double>(s.total_eqsets_created);
   state.counters["hist"] = static_cast<double>(s.history_entries);
@@ -39,18 +40,18 @@ BENCHMARK(BM_RayCast_DominatingWrites)->Arg(16)->Arg(64);
 void BM_RayCast_NoDominatingWrites(benchmark::State& state) {
   // Ablation: without dominating writes, ray casting never coalesces and
   // behaves like Warnock — watch live_eqsets grow.
-  RayCastEngine::Options options;
-  options.dominating_writes = false;
-  drive<RayCastEngine>(state, options);
+  EngineTuning tuning;
+  tuning.raycast_dominating_writes = false;
+  drive<RayCastEngine>(state, tuning);
 }
 BENCHMARK(BM_RayCast_NoDominatingWrites)->Arg(16)->Arg(64);
 
 void BM_RayCast_KdFallback(benchmark::State& state) {
   // Ablation: force the K-d interval-tree fallback instead of the
   // partition-aligned buckets (Section 7.1's rare case).
-  RayCastEngine::Options options;
-  options.force_kd_fallback = true;
-  drive<RayCastEngine>(state, options);
+  EngineTuning tuning;
+  tuning.raycast_force_kd_fallback = true;
+  drive<RayCastEngine>(state, tuning);
 }
 BENCHMARK(BM_RayCast_KdFallback)->Arg(16)->Arg(64);
 
@@ -61,9 +62,9 @@ BENCHMARK(BM_Warnock_Memoized)->Arg(16)->Arg(64);
 
 void BM_Warnock_NoMemo(benchmark::State& state) {
   // Ablation: every lookup re-descends the refinement BVH from the root.
-  WarnockEngine::Options options;
-  options.memoize = false;
-  drive<WarnockEngine>(state, options);
+  EngineTuning tuning;
+  tuning.warnock_memoize = false;
+  drive<WarnockEngine>(state, tuning);
 }
 BENCHMARK(BM_Warnock_NoMemo)->Arg(16)->Arg(64);
 
@@ -74,9 +75,9 @@ BENCHMARK(BM_Paint_OcclusionPruning)->Arg(16)->Arg(64);
 
 void BM_Paint_NoOcclusionPruning(benchmark::State& state) {
   // Ablation: composite views are never deleted; histories only grow.
-  PaintEngine::Options options;
-  options.occlusion_pruning = false;
-  drive<PaintEngine>(state, options);
+  EngineTuning tuning;
+  tuning.paint_occlusion_pruning = false;
+  drive<PaintEngine>(state, tuning);
 }
 BENCHMARK(BM_Paint_NoOcclusionPruning)->Arg(16)->Arg(64);
 

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "fuzz/generator.h"
 #include "fuzz/oracle.h"
@@ -204,7 +205,7 @@ std::string stream_check(const ProgramSpec& spec, std::uint64_t run_seed) {
   if (r.dep_graph_hash != batch.dep_graph_hash)
     return mismatch("dep_graph_hash");
   if (r.schedule_hash != batch.schedule_hash) return mismatch("schedule_hash");
-  if (r.value_hash != serve::fold_value_hashes(batch.launch_hashes))
+  if (r.value_hash != fnv1a_all(batch.launch_hashes))
     return mismatch("value_hash");
   if (r.final_hashes != batch.final_hashes) return mismatch("final_hashes");
   return "";

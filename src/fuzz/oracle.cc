@@ -6,6 +6,7 @@
 
 #include "analysis/spy.h"
 #include "common/check.h"
+#include "fuzz/executor.h"
 #include "runtime/runtime.h"
 
 namespace visrt::fuzz {
@@ -25,178 +26,49 @@ const char* failure_kind_name(FailureKind kind) {
 
 namespace {
 
-std::uint64_t hash_u64(std::uint64_t h, std::uint64_t v) {
-  return (h ^ v) * 1099511628211ULL;
-}
+/// The whole spec through one Executor, with the launch log and order
+/// queries every downstream check reads (the spy, the schedule validator,
+/// explain).  Invariant violations and API errors become
+/// RunResult::crashed instead of aborting the process; the runtime is
+/// null then.  A malformed spec throws ApiError to the caller.
+LiveRun execute(const ProgramSpec& spec, const LiveRunOptions& options) {
+  validate(spec);
+  RuntimeConfig config = runtime_config(spec);
+  if (options.subject.has_value()) config.algorithm = *options.subject;
+  config.track_values = true;
+  config.record_launches = true;
+  config.order_queries = true;
+  config.provenance = options.provenance;
+  config.telemetry = options.telemetry;
+  config.profile = options.profile;
 
-std::uint64_t combine_hashes(std::span<const std::uint64_t> hashes) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (std::uint64_t v : hashes) h = hash_u64(h, v);
-  return h;
-}
-
-/// One spec executed through the Runtime, kept alive so the differential
-/// checks can inspect the dependence DAG and work graph afterwards.
-struct Execution {
-  std::unique_ptr<Runtime> runtime;
-  std::vector<RegionHandle> regions;
-  std::vector<PartitionHandle> partitions;
-  std::vector<ExpandedLaunch> expanded;
-  RunResult result;
-  /// Record provenance/ledgers during the run.  On by default so the
-  /// differential checks can annotate precision mismatches with the
-  /// provenance of the offending edge.
-  bool provenance = true;
-  bool telemetry = false;
-  bool profile = false;
-  /// Streaming ingest: retire completed prefixes every N launches
-  /// (0 = batch, never retire).  See LiveRunOptions::retire_every.
-  std::size_t retire_every = 0;
-  std::size_t max_dead_eqsets = 1024;
-  /// Maintain the order-maintenance structure on the dependence graph.  On
-  /// by default: every check downstream of a run — the spy, the schedule
-  /// validator, explain — answers transitive-order queries in O(1).
-  bool order_queries = true;
-
-  /// Run the whole program; invariant violations and API errors become
-  /// RunResult::crashed instead of aborting the process.
-  void run(const ProgramSpec& spec) {
-    expanded = expand_stream(spec);
-    result.launch_hashes.assign(expanded.size(), 0);
-    ScopedCheckThrows catch_invariants;
-    try {
-      execute(spec);
-    } catch (const std::exception& e) {
-      result.crashed = true;
-      result.crash_message = e.what();
-    }
-  }
-
-private:
-  void execute(const ProgramSpec& spec) {
-    RuntimeConfig config;
-    config.algorithm = spec.subject;
-    config.tuning = spec.tuning;
-    config.dcr = spec.dcr;
-    config.enable_tracing = spec.tracing;
-    config.track_values = true;
-    config.record_launches = true; // the spy verifier reads the launch log
-    config.machine.num_nodes = spec.num_nodes;
-    config.provenance = provenance;
-    config.telemetry = telemetry;
-    config.profile = profile;
-    config.order_queries = order_queries;
-    runtime = std::make_unique<Runtime>(config);
-
-    for (const TreeSpec& tree : spec.trees)
-      regions.push_back(
-          runtime->create_region(IntervalSet(0, tree.size - 1), tree.name));
-    for (const PartitionSpec& part : spec.partitions) {
-      PartitionHandle ph = runtime->create_partition(
-          regions[part.parent], part.subspaces, part.name);
-      partitions.push_back(ph);
-      for (std::size_t c = 0; c < part.subspaces.size(); ++c)
-        regions.push_back(runtime->subregion(ph, c));
-    }
-    for (std::size_t f = 0; f < spec.fields.size(); ++f) {
-      const FieldSpec& field = spec.fields[f];
-      coord_t mod = field.init_mod;
-      FieldID id = runtime->add_field(
-          regions[field.tree], field.name,
-          [mod](coord_t p) { return static_cast<double>(p % mod); });
-      invariant(id == static_cast<FieldID>(f),
-                "field-table index must equal the runtime FieldID");
-    }
-
-    LaunchID next_expected = 0;
-    LaunchID last_retire = 0;
+  LiveRun run;
+  RunResult& result = run.result;
+  ScopedCheckThrows catch_invariants;
+  try {
+    Executor exec(spec, config);
     for (const StreamItem& item : spec.stream) {
-      if (retire_every != 0 && next_expected >= last_retire + retire_every) {
-        runtime->retire(max_dead_eqsets);
-        last_retire = next_expected;
-      }
-      switch (item.kind) {
-      case StreamItem::Kind::Task: {
-        TaskLaunch launch;
-        launch.name = "fuzz";
-        launch.mapped_node = item.task.mapped_node;
-        coord_t work = 0;
-        for (const ReqSpec& req : item.task.requirements) {
-          launch.requirements.push_back(RegionReq{
-              regions[req.region], req.field, req.privilege});
-          work += region_domain(spec, req.region).volume();
-        }
-        launch.work_items = work;
-        launch.fn = [this](TaskContext& ctx) { body(ctx); };
-        LaunchID id = runtime->launch(std::move(launch));
-        invariant(id == next_expected, "launch id misaligned with expansion");
-        ++next_expected;
-        break;
-      }
-      case StreamItem::Kind::Index: {
-        IndexLaunch launch;
-        launch.name = "fuzz-index";
-        coord_t work = 0;
-        for (const IndexReqSpec& req : item.index.requirements) {
-          launch.requirements.push_back(IndexReq{
-              partitions[req.partition], req.field, req.privilege});
-          work += region_domain(spec, req.partition).volume();
-        }
-        launch.work_items = work;
-        launch.fn = [this](TaskContext& ctx, std::size_t) { body(ctx); };
-        std::vector<LaunchID> ids = runtime->index_launch(launch);
-        for (LaunchID id : ids) {
-          invariant(id == next_expected,
-                    "launch id misaligned with expansion");
-          ++next_expected;
-        }
-        break;
-      }
-      case StreamItem::Kind::BeginTrace:
-        runtime->begin_trace(item.trace_id);
-        break;
-      case StreamItem::Kind::EndTrace:
-        runtime->end_trace();
-        break;
-      case StreamItem::Kind::EndIteration:
-        runtime->end_iteration();
-        break;
-      }
+      std::span<const std::uint64_t> hashes = exec.apply(item);
+      result.launch_hashes.insert(result.launch_hashes.end(), hashes.begin(),
+                                  hashes.end());
     }
-
-    for (std::size_t f = 0; f < spec.fields.size(); ++f) {
-      RegionData<double> data = runtime->observe(
-          regions[spec.fields[f].tree], static_cast<FieldID>(f));
-      result.final_hashes.push_back(hash_region(data));
-    }
-    result.dep_edges = runtime->dep_graph().edge_count();
-    result.traced_launches = runtime->traced_launches();
-
+    result.final_hashes = exec.observe_fields();
+    const Runtime& rt = exec.runtime();
+    result.dep_edges = rt.dep_graph().edge_count();
+    result.traced_launches = rt.traced_launches();
     // Structural fingerprints for the cross-commit golden and streaming
-    // equivalence tests: the dependence DAG (per-launch predecessor lists)
-    // and the replayed DES schedule (finish time of each execution op).
-    // Both are rolling folds maintained by the dep graph / runtime, so
-    // they cover launches retired out of the resident window too and are
-    // bit-identical between batch and streaming ingest.
-    result.dep_graph_hash = runtime->dep_graph().stream_hash();
-    result.schedule_hash = runtime->schedule_hash();
+    // equivalence tests: rolling folds maintained by the dep graph and the
+    // runtime, so they cover launches retired out of the resident window
+    // too and are bit-identical between batch and streaming ingest.
+    result.dep_graph_hash = rt.dep_graph().stream_hash();
+    result.schedule_hash = rt.schedule_hash();
+    run.runtime = exec.release_runtime();
+  } catch (const std::exception& e) {
+    result.crashed = true;
+    result.crash_message = e.what();
   }
-
-  /// The shared deterministic body: hash the materialized (pre-mutation)
-  /// buffers, then apply the canonical writes/reductions.
-  void body(TaskContext& ctx) {
-    const ExpandedLaunch& launch = expanded.at(ctx.launch_id());
-    std::vector<std::uint64_t> hashes;
-    std::vector<RegionData<double>*> buffers;
-    for (std::size_t i = 0; i < ctx.region_count(); ++i) {
-      hashes.push_back(hash_region(ctx.data(i)));
-      buffers.push_back(&ctx.data(i));
-    }
-    result.launch_hashes.at(ctx.launch_id()) = combine_hashes(hashes);
-    apply_task_body(launch.requirements, buffers, ctx.launch_id(),
-                    launch.salt);
-  }
-};
+  return run;
+}
 
 /// First retained spy violation of the given kind, or nullptr.
 const analysis::SpyViolation* first_violation(const analysis::SpyReport& r,
@@ -209,27 +81,12 @@ const analysis::SpyViolation* first_violation(const analysis::SpyReport& r,
 } // namespace
 
 RunResult run_program(const ProgramSpec& spec) {
-  Execution exec;
-  exec.run(spec);
-  return exec.result;
+  return execute(spec, {}).result;
 }
 
 LiveRun run_program_live(const ProgramSpec& spec,
                          const LiveRunOptions& options) {
-  ProgramSpec adjusted = spec;
-  if (options.subject.has_value()) adjusted.subject = *options.subject;
-  Execution exec;
-  exec.provenance = options.provenance;
-  exec.telemetry = options.telemetry;
-  exec.profile = options.profile;
-  exec.order_queries = options.order_queries;
-  exec.retire_every = options.retire_every;
-  exec.max_dead_eqsets = options.max_dead_eqsets;
-  exec.run(adjusted);
-  LiveRun live;
-  live.result = std::move(exec.result);
-  if (!live.result.crashed) live.runtime = std::move(exec.runtime);
-  return live;
+  return execute(spec, options);
 }
 
 std::string validate_schedule(const Runtime& runtime) {
@@ -307,8 +164,7 @@ DiffReport check_program(const ProgramSpec& spec) {
   if (ref.crashed)
     return {FailureKind::Crash, "reference engine: " + ref.crash_message};
 
-  Execution subject;
-  subject.run(spec);
+  LiveRun subject = execute(spec, {});
   const RunResult& got = subject.result;
   if (got.crashed) return {FailureKind::Crash, got.crash_message};
 
@@ -372,12 +228,11 @@ DiffReport check_program(const ProgramSpec& spec) {
 }
 
 SpyCheckResult spy_check(const ProgramSpec& spec) {
-  Execution exec;
-  exec.run(spec);
+  LiveRun run = execute(spec, {});
   SpyCheckResult out;
-  out.crashed = exec.result.crashed;
-  out.crash_message = exec.result.crash_message;
-  if (!out.crashed) out.report = analysis::verify(*exec.runtime);
+  out.crashed = run.result.crashed;
+  out.crash_message = run.result.crash_message;
+  if (!out.crashed) out.report = analysis::verify(*run.runtime);
   return out;
 }
 

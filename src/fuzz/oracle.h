@@ -59,8 +59,8 @@ struct DiffReport {
 struct RunResult {
   bool crashed = false;
   std::string crash_message;
-  /// Combined hash of the materialized buffers of each expanded launch,
-  /// captured before the body mutates them; indexed by LaunchID.
+  /// Combined hash of the materialized buffers of each launch, captured
+  /// before the body mutates them; indexed by LaunchID.
   std::vector<std::uint64_t> launch_hashes;
   /// Final observe() hash per field-table entry.
   std::vector<std::uint64_t> final_hashes;
@@ -90,17 +90,6 @@ struct LiveRunOptions {
   bool profile = false;
   /// Override the spec's subject engine.
   std::optional<Algorithm> subject;
-  /// Streaming ingest: call Runtime::retire(max_dead_eqsets) after every
-  /// `retire_every` launches (0 = batch mode, never retire).  All captured
-  /// results — value/dep-graph/schedule hashes, stats — are bit-identical
-  /// to batch mode by construction; the --stream fuzz mode and the serve
-  /// tests assert exactly that.
-  std::size_t retire_every = 0;
-  std::size_t max_dead_eqsets = 1024;
-  /// Maintain the order-maintenance structure on the dependence graph so
-  /// post-hoc consumers (explain, the spy, validate_schedule) answer
-  /// transitive-order queries in O(1).
-  bool order_queries = true;
 };
 
 /// A finished run whose Runtime — dependence graph with provenance, the

@@ -3,6 +3,7 @@
 #include <bit>
 
 #include "common/check.h"
+#include "common/hash.h"
 #include "realm/reduction_ops.h"
 
 namespace visrt::fuzz {
@@ -259,10 +260,8 @@ void apply_task_body(std::span<const ReqSpec> reqs,
 }
 
 std::uint64_t hash_region(const RegionData<double>& data) {
-  std::uint64_t h = 1469598103934665603ULL; // FNV-1a offset basis
-  auto mix = [&h](std::uint64_t v) {
-    h = (h ^ v) * 1099511628211ULL;
-  };
+  std::uint64_t h = kFnvOffsetBasis;
+  auto mix = [&h](std::uint64_t v) { h = fnv1a_u64(h, v); };
   for (const Interval& iv : data.domain().intervals()) {
     mix(static_cast<std::uint64_t>(iv.lo));
     mix(static_cast<std::uint64_t>(iv.hi));

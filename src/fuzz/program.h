@@ -8,6 +8,7 @@
 //
 //   generator.h  produces random specs,
 //   serialize.h  round-trips them through the .visprog text format,
+//   executor.h   applies them to a Runtime, one stream item at a time,
 //   oracle.h     executes them differentially against the reference engine,
 //   shrink.h     minimizes failing ones.
 //

@@ -82,14 +82,15 @@ void write_line(int fd, std::string_view line) {
 
 } // namespace
 
-/// One client connection.  The connection's worker thread owns `session`
-/// and `inbuf`; the mutable snapshot fields below the comment are the
-/// published view other threads (stats/metrics) read under Server::mu_.
+/// One session's transport.  The thread serving the connection owns
+/// `write`, `session` and `inbuf`; the mutable snapshot fields below the
+/// comment are the published view other threads (stats/metrics) read
+/// under Server::mu_.
 struct Server::Connection {
-  int fd = -1;
-
-  std::unique_ptr<StreamSession> session; // worker-thread only
-  std::string inbuf;                      // worker-thread only
+  /// Writes one reply line (the transport's framing and flush).
+  std::function<void(std::string_view)> write; // serving thread only
+  std::unique_ptr<StreamSession> session;      // serving thread only
+  std::string inbuf;                           // serving thread only
 
   // Published under Server::mu_ by publish():
   SessionCounters snap;
@@ -182,120 +183,123 @@ void Server::accept_loop() {
     int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
     auto conn = std::make_shared<Connection>();
-    conn->fd = fd;
+    conn->write = [fd](std::string_view line) { write_line(fd, line); };
     std::lock_guard<std::mutex> lock(mu_);
     conns_.push_back(conn);
-    workers_.emplace_back([this, conn] { handle_connection(conn); });
+    workers_.emplace_back([this, conn, fd] { handle_connection(*conn, fd); });
   }
 }
 
-void Server::handle_connection(std::shared_ptr<Connection> conn) {
-  bool failed = false;
-  bool replied = false;
-  try {
+void Server::handle_connection(Connection& conn, int fd) {
+  drive(conn, [this, fd](std::string& inbuf) {
     char chunk[65536];
-    bool open = true;
-    while (open) {
-      if (stop_.load(std::memory_order_relaxed)) break; // drain
-      pollfd pfd{conn->fd, POLLIN, 0};
+    for (;;) {
+      if (stop_.load(std::memory_order_relaxed)) return false; // drain
+      pollfd pfd{fd, POLLIN, 0};
       int rc = ::poll(&pfd, 1, options_.poll_interval_ms);
-      if (rc < 0 && errno != EINTR) break;
+      if (rc < 0 && errno != EINTR) return false;
       if (rc <= 0) continue;
-      ssize_t n = ::read(conn->fd, chunk, sizeof chunk);
+      ssize_t n = ::read(fd, chunk, sizeof chunk);
       if (n < 0) {
         if (errno == EINTR) continue;
-        break;
+        return false;
       }
-      if (n == 0) break; // EOF: behaves like @end below
-      conn->inbuf.append(chunk, static_cast<std::size_t>(n));
-      std::size_t start = 0;
-      for (;;) {
-        std::size_t nl = conn->inbuf.find('\n', start);
-        if (nl == std::string::npos) break;
-        std::string_view line(conn->inbuf.data() + start, nl - start);
-        std::string reply;
-        open = handle_line(*conn, line, reply);
-        if (!reply.empty()) write_line(conn->fd, reply);
-        start = nl + 1;
-        if (!open) {
-          replied = true;
-          break;
-        }
+      if (n == 0) {
+        // EOF: a final unterminated line still counts, as over stdin; the
+        // end of input then behaves like @end.
+        if (inbuf.empty()) return false;
+        inbuf.push_back('\n');
+        return true;
       }
-      conn->inbuf.erase(0, start);
-      publish(*conn, /*active=*/true);
+      inbuf.append(chunk, static_cast<std::size_t>(n));
+      return true;
     }
-    // EOF or drain without @end: finish the in-flight session and write
-    // its result line so no analysis state is silently dropped.
-    if (!replied && conn->session != nullptr) {
-      conn->session->finish();
-      write_line(conn->fd, result_json(*conn->session));
+  });
+  ::shutdown(fd, SHUT_RDWR);
+  ::close(fd);
+}
+
+void Server::drive(Connection& conn,
+                   const std::function<bool(std::string&)>& read) {
+  bool failed = false;
+  bool ended = false;
+  try {
+    while (!ended && read(conn.inbuf)) {
+      std::size_t start = 0;
+      for (std::size_t nl;
+           !ended && (nl = conn.inbuf.find('\n', start)) != std::string::npos;
+           start = nl + 1) {
+        std::string_view line(conn.inbuf.data() + start, nl - start);
+        std::string reply;
+        ended = !handle_line(conn, line, reply);
+        if (!reply.empty()) conn.write(reply);
+      }
+      conn.inbuf.erase(0, start);
+      publish(conn, /*active=*/true);
+    }
+    // End of input or drain without @end: finish the in-flight session and
+    // write its result line so no analysis state is silently dropped.
+    if (!ended && conn.session != nullptr) {
+      conn.session->finish();
+      conn.write(result_json(*conn.session));
     }
   } catch (const std::exception& e) {
-    write_line(conn->fd, error_line(e.what()));
+    conn.write(error_line(e.what()));
     failed = true;
   }
-  publish(*conn, /*active=*/false);
+  publish(conn, /*active=*/false);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (conn->counted) {
-      merge_counters(finished_totals_, conn->snap);
+    if (conn.counted) {
+      merge_counters(finished_totals_, conn.snap);
       if (failed)
         ++sessions_failed_;
       else
         ++sessions_completed_;
     }
-    conn->active = false;
-    conn->resident_launches = conn->resident_ops = conn->live_eqsets = 0;
+    conn.active = false;
+    conn.resident_launches = conn.resident_ops = conn.live_eqsets = 0;
   }
-  conn->session.reset(); // release the Runtime promptly
-  ::shutdown(conn->fd, SHUT_RDWR);
-  ::close(conn->fd);
-  conn->fd = -1;
+  conn.session.reset(); // release the Runtime promptly
 }
 
-Server::ControlAction Server::dispatch_control(std::string_view line,
-                                               const StreamSession* fold,
-                                               std::string& reply) {
-  if (line.empty() || line.front() != '@') return ControlAction::NotControl;
-  if (line == "@end") return ControlAction::End;
+void Server::dispatch_control(std::string_view line, std::string& reply) {
   if (line == "@metrics") {
     const std::uint64_t begin = obs::prof_now_ns();
-    reply = metrics_json(fold);
+    reply = metrics_json();
     latency_.metrics_request.record(obs::prof_now_ns() - begin);
   } else if (line == "@health") {
-    reply = health_json(fold);
+    reply = health_json();
   } else if (line == "@prometheus") {
-    reply = prometheus_text(fold);
+    reply = prometheus_text();
   } else {
     reply = error_line("unknown control line: " + std::string(line));
   }
   obs::flight_record(obs::FlightKind::Control, line.size(), reply.size());
-  return ControlAction::Replied;
 }
 
 bool Server::handle_line(Connection& conn, std::string_view line,
                          std::string& reply) {
+  if (line == "@end") {
+    if (conn.session != nullptr) {
+      conn.session->finish();
+      reply = result_json(*conn.session);
+    } else {
+      reply = "{\"ok\":true,\"launches\":0}";
+    }
+    return false;
+  }
   if (!line.empty() && line.front() == '@') {
     // Freshen this connection's published counters first, so a control
     // reply covers the statements this very connection just ingested.
     if (conn.session != nullptr) publish(conn, /*active=*/true);
-    if (dispatch_control(line, nullptr, reply) == ControlAction::End) {
-      if (conn.session != nullptr) {
-        conn.session->finish();
-        reply = result_json(*conn.session);
-      } else {
-        reply = "{\"ok\":true,\"launches\":0}";
-      }
-      return false;
-    }
+    dispatch_control(line, reply);
     return true;
   }
   if (conn.session == nullptr) {
     SessionOptions so = options_.session;
-    int fd = conn.fd;
-    so.on_error = [fd](const std::string& what) {
-      write_line(fd, error_line(what));
+    so.on_error = [&conn](const std::string& what) {
+      conn.write(error_line(what));
     };
     conn.session = std::make_unique<StreamSession>(std::move(so));
     std::lock_guard<std::mutex> lock(mu_);
@@ -328,9 +332,7 @@ void Server::publish(Connection& conn, bool active) {
   conn.retire_backoff = backoff;
 }
 
-ServeStats Server::stats() const { return stats(nullptr); }
-
-ServeStats Server::stats(const StreamSession* fold) const {
+ServeStats Server::stats() const {
   ServeStats s;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -348,23 +350,14 @@ ServeStats Server::stats(const StreamSession* fold) const {
       if (c->retire_backoff > 0) ++s.sessions_in_backoff;
     }
   }
-  if (fold != nullptr) {
-    // The stdin session is not an accepted connection: fold its live
-    // counters in so the report covers it (its residency gauges are not
-    // published — gauges cover accepted connections only).
-    merge_counters(s.totals, fold->counters());
-    if (fold->retire_backoff() > 0) ++s.sessions_in_backoff;
-  }
   s.uptime_s = std::chrono::duration<double>(
                    std::chrono::steady_clock::now() - start_time_)
                    .count();
   return s;
 }
 
-std::string Server::metrics_json() const { return metrics_json(nullptr); }
-
-std::string Server::metrics_json(const StreamSession* fold) const {
-  ServeStats s = stats(fold);
+std::string Server::metrics_json() const {
+  ServeStats s = stats();
   const SessionCounters& t = s.totals;
   std::ostringstream os;
   os << "{\"schema_version\":" << obs::kMetricsSchemaVersion
@@ -425,10 +418,8 @@ std::string Server::latency_section_json() const {
   return os.str();
 }
 
-std::string Server::health_json() const { return health_json(nullptr); }
-
-std::string Server::health_json(const StreamSession* fold) const {
-  ServeStats s = stats(fold);
+std::string Server::health_json() const {
+  ServeStats s = stats();
   const std::size_t cap = options_.session.max_resident_launches;
   // Residency is summed over sessions and the cap is per-session, so the
   // fleet-level bound is cap * active sessions; per-session over-cap
@@ -521,10 +512,8 @@ void prometheus_counter(std::ostringstream& os, const char* name,
 
 } // namespace
 
-std::string Server::prometheus_text() const { return prometheus_text(nullptr); }
-
-std::string Server::prometheus_text(const StreamSession* fold) const {
-  ServeStats s = stats(fold);
+std::string Server::prometheus_text() const {
+  ServeStats s = stats();
   const SessionCounters& t = s.totals;
   std::ostringstream os;
   prometheus_counter(os, "visrt_serve_sessions_total", "counter",
@@ -636,7 +625,7 @@ void Server::sampler_loop() {
       continue;
     }
     next += interval;
-    ServeStats s = stats(nullptr);
+    ServeStats s = stats();
     ServeSample smp;
     smp.uptime_s = s.uptime_s;
     smp.statements = s.totals.statements;
@@ -677,33 +666,20 @@ std::string Server::result_json(const StreamSession& session) const {
 }
 
 void Server::run_stream(std::istream& in, std::ostream& out) {
-  SessionOptions so = options_.session;
-  so.on_error = [&out](const std::string& what) {
-    out << error_line(what) << "\n" << std::flush;
+  auto conn = std::make_shared<Connection>();
+  conn->write = [&out](std::string_view line) {
+    out << line << "\n" << std::flush;
   };
-  StreamSession session(std::move(so));
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ++sessions_total_;
+    conns_.push_back(conn);
   }
-  bool ended = false;
-  std::string line;
-  while (!ended && std::getline(in, line)) {
-    std::string reply;
-    switch (dispatch_control(line, &session, reply)) {
-    case ControlAction::End: ended = true; break;
-    case ControlAction::Replied: out << reply << "\n" << std::flush; break;
-    case ControlAction::NotControl:
-      line.push_back('\n');
-      session.feed(line);
-      break;
-    }
-  }
-  session.finish();
-  out << result_json(session) << "\n" << std::flush;
-  std::lock_guard<std::mutex> lock(mu_);
-  merge_counters(finished_totals_, session.counters());
-  ++sessions_completed_;
+  drive(*conn, [&in](std::string& inbuf) {
+    std::string line;
+    if (!std::getline(in, line)) return false;
+    inbuf.append(line).push_back('\n');
+    return true;
+  });
 }
 
 } // namespace visrt::serve

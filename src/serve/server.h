@@ -19,10 +19,10 @@
 //                                   result JSON line, close
 //   server -> client   {"error":...}  a rejected statement (session lives)
 //
-// EOF without @end behaves like @end (half-close friendly).  SIGTERM
-// drain: Server::stop() stops accepting, then every connection finishes
-// its in-flight session, writes its result line and closes — no analysis
-// state is dropped.
+// EOF without @end behaves like @end (half-close friendly), and a final
+// line without a newline still counts.  SIGTERM drain: Server::stop()
+// stops accepting, then every connection finishes its in-flight session,
+// writes its result line and closes — no analysis state is dropped.
 //
 // The metrics line is the schema-v2 envelope with a "serve" section
 // (docs/SERVING.md); host-dependent timing lives in its "timing"
@@ -32,6 +32,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
@@ -105,6 +106,9 @@ public:
 
   /// Single-session stdin mode: read statements/controls from `in`,
   /// write replies to `out`; returns when the stream ends.  No threads.
+  /// The session is driven, published and accounted exactly like a socket
+  /// connection's: one that throws writes one {"error":...} line and
+  /// counts in sessions_failed.
   void run_stream(std::istream& in, std::ostream& out);
 
   ServeStats stats() const;
@@ -132,30 +136,21 @@ public:
 
 private:
   struct Connection;
-  /// How dispatch_control classified one input line.
-  enum class ControlAction {
-    NotControl, ///< a statement: feed it to the session
-    Replied,    ///< control handled; `reply` holds the full response
-    End,        ///< @end: caller finishes the session and closes
-  };
-
   void accept_loop();
-  void handle_connection(std::shared_ptr<Connection> conn);
+  void handle_connection(Connection& conn, int fd);
+  /// The one session loop both transports share (socket and stdin):
+  /// every complete line of each chunk `read` appends to the input buffer
+  /// goes to handle_line until @end or until `read` reports end of input;
+  /// then the end-of-stream finish, the failure accounting, and the
+  /// session's release.
+  void drive(Connection& conn,
+             const std::function<bool(std::string&)>& read);
   /// One complete input line: control (@...) or statement.  Returns false
   /// when the connection should close.
   bool handle_line(Connection& conn, std::string_view line,
                    std::string& reply);
-  /// The single control-line dispatcher both transports share (stdin and
-  /// socket).  `fold` is a session whose counters are not published as a
-  /// connection (the stdin session): its live counters are summed into
-  /// the reported totals.
-  ControlAction dispatch_control(std::string_view line,
-                                 const StreamSession* fold,
-                                 std::string& reply);
-  ServeStats stats(const StreamSession* fold) const;
-  std::string metrics_json(const StreamSession* fold) const;
-  std::string health_json(const StreamSession* fold) const;
-  std::string prometheus_text(const StreamSession* fold) const;
+  /// Answers one control line other than @end into `reply`.
+  void dispatch_control(std::string_view line, std::string& reply);
   /// The "latency" section body (deterministic counts + strippable
   /// "timing" subobjects).
   std::string latency_section_json() const;

@@ -3,16 +3,19 @@
 // One streaming-analysis session: the incremental counterpart of the
 // fuzzer's batch oracle execution.  A session accepts `.visprog` IR a
 // chunk of bytes at a time (straight off a socket or stdin), parses it
-// statement-by-statement with VisprogStreamParser, and drives a private
-// Runtime as launches arrive — dependence analysis is incremental per
-// launch, and completed prefixes are retired (Runtime::retire) under the
-// session's residency caps, so memory stays flat over unbounded streams.
+// statement-by-statement with VisprogStreamParser, and applies each
+// launch to a private fuzz::Executor as it arrives — dependence analysis
+// is incremental per launch, and completed prefixes are retired
+// (Runtime::retire) under the session's residency caps, so memory stays
+// flat over unbounded streams.
 //
-// Everything a session computes is bit-identical to the batch path by
+// The batch oracle drives the same executor over a whole spec, so
+// everything a session computes is bit-identical to the batch path by
 // construction:
 //
 //   value hash       rolling FNV fold of the per-launch materialized-value
-//                    hashes in launch order (fold of RunResult::launch_hashes),
+//                    hashes in launch order (fnv1a_all of
+//                    RunResult::launch_hashes),
 //   dep-graph hash   DepGraph::stream_hash (covers retired launches),
 //   schedule hash    Runtime::schedule_hash (frozen prefix + live suffix),
 //   final hashes     per-field observe() at end-of-stream.
@@ -25,12 +28,12 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "analysis/spy.h"
+#include "fuzz/executor.h"
 #include "fuzz/program.h"
 #include "fuzz/serialize.h"
 #include "obs/flight.h"
@@ -119,8 +122,8 @@ struct SessionCounters {
 /// Results of a finished session (valid after finish()).
 struct SessionResult {
   /// FNV fold of the per-launch materialized-value hashes in launch order;
-  /// equals folding fuzz::RunResult::launch_hashes of a batch run.  0 when
-  /// value tracking is off.
+  /// equals fnv1a_all over fuzz::RunResult::launch_hashes of a batch run.
+  /// 0 when value tracking is off.
   std::uint64_t value_hash = 0;
   /// Final observe() hash per field-table entry.
   std::vector<std::uint64_t> final_hashes;
@@ -155,8 +158,12 @@ public:
 
   /// The session's runtime; null until the first stream item (or field
   /// declaration at finish()) instantiates it.
-  Runtime* runtime() { return runtime_.get(); }
-  const Runtime* runtime() const { return runtime_.get(); }
+  Runtime* runtime() {
+    return executor_ != nullptr ? &executor_->runtime() : nullptr;
+  }
+  const Runtime* runtime() const {
+    return executor_ != nullptr ? &executor_->runtime() : nullptr;
+  }
 
   /// The declaration mirror accumulated so far.
   const fuzz::ProgramSpec& spec() const { return spec_; }
@@ -171,7 +178,7 @@ public:
   std::size_t retire_backoff() const { return retire_backoff_; }
 
 private:
-  void feed_tail();
+  void apply_parsed();
   void apply(const fuzz::VisprogStatement& st);
   void apply_decl(const fuzz::VisprogStatement& st);
   void apply_item(const fuzz::StreamItem& item);
@@ -179,8 +186,6 @@ private:
   void drain_verify();
   void maybe_retire(bool force);
   void note_residency();
-  void body(TaskContext& ctx, std::span<const fuzz::ReqSpec> reqs,
-            std::uint64_t salt);
 
   SessionOptions options_;
   fuzz::VisprogStreamParser parser_;
@@ -190,25 +195,16 @@ private:
   /// Launches to ingest before the over-cap trigger may force another
   /// retire, set after a retire that failed to get back under the cap.
   std::size_t retire_backoff_ = 0;
-  LaunchID next_expected_ = 0;
 
-  std::unique_ptr<Runtime> runtime_;
+  std::unique_ptr<fuzz::Executor> executor_;
   std::unique_ptr<analysis::IncrementalVerifier> verifier_;
-  std::vector<RegionHandle> regions_;
-  std::vector<PartitionHandle> partitions_;
 
   std::unique_ptr<SessionLatency> owned_latency_;
   SessionLatency* latency_ = nullptr;
 
   SessionCounters counters_;
   SessionResult result_;
-  std::uint64_t value_hash_;
   bool finished_ = false;
 };
-
-/// FNV fold of per-launch value hashes in launch order — apply to a batch
-/// run's RunResult::launch_hashes to compare with
-/// SessionResult::value_hash.
-std::uint64_t fold_value_hashes(std::span<const std::uint64_t> hashes);
 
 } // namespace visrt::serve

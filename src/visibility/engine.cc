@@ -26,23 +26,9 @@ std::unique_ptr<CoherenceEngine> make_engine(Algorithm algorithm,
                                              const EngineConfig& config) {
   require(config.forest != nullptr, "engine config requires a region forest");
   switch (algorithm) {
-  case Algorithm::Paint: {
-    PaintEngine::Options options;
-    options.occlusion_pruning = config.tuning.paint_occlusion_pruning;
-    options.inject_reduce_bug = config.tuning.inject_paint_reduce_bug;
-    return std::make_unique<PaintEngine>(config, options);
-  }
-  case Algorithm::Warnock: {
-    WarnockEngine::Options options;
-    options.memoize = config.tuning.warnock_memoize;
-    return std::make_unique<WarnockEngine>(config, options);
-  }
-  case Algorithm::RayCast: {
-    RayCastEngine::Options options;
-    options.dominating_writes = config.tuning.raycast_dominating_writes;
-    options.force_kd_fallback = config.tuning.raycast_force_kd_fallback;
-    return std::make_unique<RayCastEngine>(config, options);
-  }
+  case Algorithm::Paint: return std::make_unique<PaintEngine>(config);
+  case Algorithm::Warnock: return std::make_unique<WarnockEngine>(config);
+  case Algorithm::RayCast: return std::make_unique<RayCastEngine>(config);
   case Algorithm::NaivePaint:
     return std::make_unique<NaivePaintEngine>(config);
   case Algorithm::NaiveWarnock:

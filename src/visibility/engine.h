@@ -101,21 +101,31 @@ enum class Algorithm {
 
 const char* algorithm_name(Algorithm a);
 
-/// Algorithm-specific option knobs in factory-friendly form: one flat
-/// struct covering every engine's ablation settings, so callers that pick
-/// the algorithm at runtime (the Runtime config, the fuzzer's randomized
-/// configurations) can carry one value.  make_engine forwards the relevant
-/// subset to the engine's own Options struct; knobs for other engines are
-/// ignored.
+/// Algorithm-specific option knobs: one flat struct covering every
+/// engine's ablation settings, so callers that pick the algorithm at
+/// runtime (the Runtime config, the fuzzer's randomized configurations)
+/// can carry one value.  Each engine reads its own knobs from
+/// EngineConfig::tuning; knobs for other engines are ignored.
 struct EngineTuning {
-  bool paint_occlusion_pruning = true;   ///< PaintEngine::Options
-  bool warnock_memoize = true;           ///< WarnockEngine::Options
-  bool raycast_dominating_writes = true; ///< RayCastEngine::Options
+  /// PaintEngine: disable to measure the value of occlusion pruning
+  /// (ablation bench).
+  bool paint_occlusion_pruning = true;
+  /// WarnockEngine: disable to measure the value of memoized lookups
+  /// (ablation bench).
+  bool warnock_memoize = true;
+  /// RayCastEngine: disable to measure the value of dominating writes; the
+  /// engine then degenerates to Warnock-style refinement-only behaviour
+  /// (ablation).
+  bool raycast_dominating_writes = true;
+  /// RayCastEngine: force the K-d (interval tree) fallback even when a
+  /// disjoint-complete partition exists (ablation).
   bool raycast_force_kd_fallback = false;
-  /// Test-only: arm PaintEngine's synthetic bug (see
-  /// PaintEngine::Options::inject_reduce_bug).  Used to validate that the
-  /// fuzzer's differential oracle and shrinker actually catch and minimize
-  /// engine defects; never enabled outside tests.
+  /// Test-only synthetic PaintEngine bug: the history walk silently skips
+  /// reduce entries whose domain has two or more intervals, dropping both
+  /// their folds (value corruption) and their dependences (soundness
+  /// violation).  Used to validate that the fuzzer's differential oracle
+  /// and shrinker actually catch and minimize engine defects; never
+  /// enabled outside tests.
   bool inject_paint_reduce_bug = false;
 
   friend bool operator==(const EngineTuning&, const EngineTuning&) = default;

@@ -9,9 +9,6 @@
 
 namespace visrt {
 
-PaintEngine::PaintEngine(const EngineConfig& config)
-    : PaintEngine(config, Options{}) {}
-
 namespace {
 /// Approximate serialized size of one history entry inside a view
 /// (metadata only; bulk data moves through the copy engine).
@@ -182,7 +179,7 @@ void PaintEngine::capture(FieldState& fs, RegionHandle at,
 
   // Occlusion pruning: the new view's write set covers (and therefore
   // hides) older history elements at this node.
-  if (options_.occlusion_pruning && !view->write_set.empty()) {
+  if (config_.tuning.paint_occlusion_pruning && !view->write_set.empty()) {
     std::size_t before = at_state.elements.size();
     std::ptrdiff_t removed_entries = 0;
     std::erase_if(at_state.elements, [&](const Element& el) {
@@ -279,8 +276,8 @@ void PaintEngine::close_subtrees(FieldState& fs,
 
 bool PaintEngine::skips_entry(const HistEntry& e) const {
   // The synthetic fuzzer-validation bug: silently lose multi-interval
-  // reduce entries (see Options::inject_reduce_bug).
-  return options_.inject_reduce_bug && e.priv.is_reduce() &&
+  // reduce entries (see EngineTuning::inject_paint_reduce_bug).
+  return config_.tuning.inject_paint_reduce_bug && e.priv.is_reduce() &&
          e.dom.interval_count() >= 2;
 }
 

@@ -30,19 +30,7 @@ namespace visrt {
 
 class PaintEngine final : public CoherenceEngine {
 public:
-  struct Options {
-    /// Disable to measure the value of occlusion pruning (ablation bench).
-    bool occlusion_pruning = true;
-    /// Test-only synthetic bug for validating the fuzzer: when set, the
-    /// history walk silently skips reduce entries whose domain has two or
-    /// more intervals — dropping both their folds (value corruption) and
-    /// their dependences (soundness violation).
-    bool inject_reduce_bug = false;
-  };
-
-  explicit PaintEngine(const EngineConfig& config);
-  PaintEngine(const EngineConfig& config, Options options)
-      : config_(config), options_(options) {}
+  explicit PaintEngine(const EngineConfig& config) : config_(config) {}
 
   void initialize_field(RegionHandle root, FieldID field,
                         RegionData<double> initial, NodeID home) override;
@@ -136,7 +124,6 @@ private:
                        std::vector<EqSetID>& dead_views);
 
   EngineConfig config_;
-  Options options_;
   std::unordered_map<FieldID, FieldState> fields_;
 };
 

@@ -9,9 +9,6 @@
 
 namespace visrt {
 
-RayCastEngine::RayCastEngine(const EngineConfig& config)
-    : RayCastEngine(config, Options{}) {}
-
 void RayCastEngine::initialize_field(RegionHandle root, FieldID field,
                                      RegionData<double> initial,
                                      NodeID home) {
@@ -51,7 +48,7 @@ RayCastEngine::FieldState& RayCastEngine::field_state(FieldID field) {
 
 void RayCastEngine::select_accel(FieldState& fs, RegionHandle region,
                                  AnalysisCounters& local) {
-  if (options_.force_kd_fallback) return; // stay on the interval tree
+  if (config_.tuning.raycast_force_kd_fallback) return; // stay on the interval tree
   const RegionTreeForest& forest = *config_.forest;
 
   // Candidate: the top-level partition on this region's path, when it is
@@ -522,7 +519,7 @@ MaterializeResult RayCastEngine::materialize(const Requirement& req,
 
   // Dominating write: a fresh set covering exactly this region replaces
   // every set it occludes (Figure 11).
-  if (req.privilege.is_write() && options_.dominating_writes) {
+  if (req.privilege.is_write() && config_.tuning.raycast_dominating_writes) {
     obs::Scope scope(config_.recorder, obs::SpanKind::Phase,
                      "raycast/eqset_prune", ctx.task, ctx.analysis_node,
                      &local, &out.steps);

@@ -29,18 +29,7 @@ namespace visrt {
 
 class RayCastEngine final : public CoherenceEngine {
 public:
-  struct Options {
-    /// Disable to measure the value of dominating writes: the engine then
-    /// degenerates to Warnock-style refinement-only behaviour (ablation).
-    bool dominating_writes = true;
-    /// Force the K-d (interval tree) fallback even when a
-    /// disjoint-complete partition exists (ablation).
-    bool force_kd_fallback = false;
-  };
-
-  explicit RayCastEngine(const EngineConfig& config);
-  RayCastEngine(const EngineConfig& config, Options options)
-      : config_(config), options_(options) {}
+  explicit RayCastEngine(const EngineConfig& config) : config_(config) {}
 
   void initialize_field(RegionHandle root, FieldID field,
                         RegionData<double> initial, NodeID home) override;
@@ -166,7 +155,6 @@ private:
   void collapse_history(EqSet& s);
 
   EngineConfig config_;
-  Options options_;
   std::unordered_map<FieldID, FieldState> fields_;
 };
 

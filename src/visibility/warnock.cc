@@ -13,9 +13,6 @@ namespace {
 constexpr std::uint64_t kEntryMetaBytes = 32;
 } // namespace
 
-WarnockEngine::WarnockEngine(const EngineConfig& config)
-    : WarnockEngine(config, Options{}) {}
-
 void WarnockEngine::initialize_field(RegionHandle root, FieldID field,
                                      RegionData<double> initial,
                                      NodeID home) {
@@ -60,7 +57,7 @@ std::vector<std::uint32_t> WarnockEngine::lookup(FieldState& fs,
   // refinement-tree root.  Refinement is monotone so memoized nodes are
   // always ancestors-or-equal of the current leaves.
   std::vector<std::uint32_t> stack;
-  if (options_.memoize) {
+  if (config_.tuning.warnock_memoize) {
     auto mit = fs.memo.find(req.region.index);
     if (mit != fs.memo.end()) stack = mit->second;
   }
@@ -182,7 +179,7 @@ MaterializeResult WarnockEngine::materialize(const Requirement& req,
       }
     }
   }
-  if (options_.memoize) fs.memo[req.region.index] = inside_ids;
+  if (config_.tuning.warnock_memoize) fs.memo[req.region.index] = inside_ids;
 
   // Visit each constituent set — one message round trip per set.  Every
   // equivalence set is an independent distributed object (as in Legion),

@@ -27,14 +27,7 @@ namespace visrt {
 
 class WarnockEngine final : public CoherenceEngine {
 public:
-  struct Options {
-    /// Disable to measure the value of memoized lookups (ablation bench).
-    bool memoize = true;
-  };
-
-  explicit WarnockEngine(const EngineConfig& config);
-  WarnockEngine(const EngineConfig& config, Options options)
-      : config_(config), options_(options) {}
+  explicit WarnockEngine(const EngineConfig& config) : config_(config) {}
 
   void initialize_field(RegionHandle root, FieldID field,
                         RegionData<double> initial, NodeID home) override;
@@ -87,7 +80,6 @@ private:
                    std::vector<AnalysisStep>& steps);
 
   EngineConfig config_;
-  Options options_;
   std::unordered_map<FieldID, FieldState> fields_;
 };
 

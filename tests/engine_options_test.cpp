@@ -39,10 +39,11 @@ struct Program {
   }
 };
 
-EngineConfig config_for(const Program& prog) {
+EngineConfig config_for(const Program& prog, EngineTuning tuning = {}) {
   EngineConfig config;
   config.forest = &prog.forest;
   config.track_values = true;
+  config.tuning = tuning;
   return config;
 }
 
@@ -113,33 +114,33 @@ void check_against_oracle(CoherenceEngine& engine, Program& prog,
 
 TEST(EngineOptions, RayCastWithoutDominatingWritesIsCorrect) {
   Program prog;
-  RayCastEngine::Options options;
-  options.dominating_writes = false;
-  RayCastEngine engine(config_for(prog), options);
+  EngineTuning tuning;
+  tuning.raycast_dominating_writes = false;
+  RayCastEngine engine(config_for(prog, tuning));
   check_against_oracle(engine, prog, 3);
 }
 
 TEST(EngineOptions, RayCastKdFallbackIsCorrect) {
   Program prog;
-  RayCastEngine::Options options;
-  options.force_kd_fallback = true;
-  RayCastEngine engine(config_for(prog), options);
+  EngineTuning tuning;
+  tuning.raycast_force_kd_fallback = true;
+  RayCastEngine engine(config_for(prog, tuning));
   check_against_oracle(engine, prog, 3);
 }
 
 TEST(EngineOptions, WarnockWithoutMemoizationIsCorrect) {
   Program prog;
-  WarnockEngine::Options options;
-  options.memoize = false;
-  WarnockEngine engine(config_for(prog), options);
+  EngineTuning tuning;
+  tuning.warnock_memoize = false;
+  WarnockEngine engine(config_for(prog, tuning));
   check_against_oracle(engine, prog, 3);
 }
 
 TEST(EngineOptions, PaintWithoutOcclusionPruningIsCorrect) {
   Program prog;
-  PaintEngine::Options options;
-  options.occlusion_pruning = false;
-  PaintEngine engine(config_for(prog), options);
+  EngineTuning tuning;
+  tuning.paint_occlusion_pruning = false;
+  PaintEngine engine(config_for(prog, tuning));
   check_against_oracle(engine, prog, 3);
 }
 
@@ -150,10 +151,9 @@ TEST(EngineOptions, DominatingWritesBoundLiveSets) {
   EngineConfig config = config_for(prog);
   config.track_values = false;
 
-  RayCastEngine with(config, RayCastEngine::Options{});
-  RayCastEngine::Options off;
-  off.dominating_writes = false;
-  RayCastEngine without(config, off);
+  RayCastEngine with(config);
+  config.tuning.raycast_dominating_writes = false;
+  RayCastEngine without(config);
   with.initialize_field(prog.root, 0, RegionData<double>{}, 0);
   without.initialize_field(prog.root, 0, RegionData<double>{}, 0);
 
@@ -194,9 +194,9 @@ TEST(EngineOptions, MemoizationReducesTraversalWork) {
   config.track_values = false;
 
   auto traversal_cost = [&](bool memoize) {
-    WarnockEngine::Options options;
-    options.memoize = memoize;
-    WarnockEngine engine(config, options);
+    EngineConfig tuned = config;
+    tuned.tuning.warnock_memoize = memoize;
+    WarnockEngine engine(tuned);
     engine.initialize_field(prog.root, 0, RegionData<double>{}, 0);
     LaunchID next = 0;
     std::uint64_t accel = 0;
@@ -221,9 +221,9 @@ TEST(EngineOptions, OcclusionPruningBoundsHistory) {
   config.track_values = false;
 
   auto history_after = [&](bool pruning) {
-    PaintEngine::Options options;
-    options.occlusion_pruning = pruning;
-    PaintEngine engine(config, options);
+    EngineConfig tuned = config;
+    tuned.tuning.paint_occlusion_pruning = pruning;
+    PaintEngine engine(tuned);
     engine.initialize_field(prog.root, 0, RegionData<double>{}, 0);
     LaunchID next = 0;
     for (int iter = 0; iter < 8; ++iter) {

@@ -20,6 +20,7 @@
 #include <fstream>
 
 #include "common/check.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "fuzz/generator.h"
 #include "fuzz/oracle.h"
@@ -103,15 +104,15 @@ TEST(ServeSession, StreamMatchesBatchOnGeneratedPrograms) {
     EXPECT_EQ(r.dep_edges, batch.dep_edges) << "seed " << seed;
     EXPECT_EQ(r.dep_graph_hash, batch.dep_graph_hash) << "seed " << seed;
     EXPECT_EQ(r.schedule_hash, batch.schedule_hash) << "seed " << seed;
-    EXPECT_EQ(r.value_hash, serve::fold_value_hashes(batch.launch_hashes))
+    EXPECT_EQ(r.value_hash, fnv1a_all(batch.launch_hashes))
         << "seed " << seed;
     EXPECT_EQ(r.final_hashes, batch.final_hashes) << "seed " << seed;
   }
 }
 
-// Retirement must be invisible in every fingerprint: the live-run oracle
-// with retire_every on and off must agree bit-for-bit with plain batch
-// execution.
+// Retirement must be invisible in every fingerprint: a session retiring
+// every 3 launches and one that never retires must agree bit-for-bit with
+// plain batch execution, per-launch values included (through the fold).
 TEST(ServeSession, RetirementEquivalence) {
   Rng rng(2026);
   fuzz::ProgramSpec spec = fuzz::generate_program(rng);
@@ -119,23 +120,25 @@ TEST(ServeSession, RetirementEquivalence) {
   ASSERT_FALSE(batch.crashed) << batch.crash_message;
 
   for (std::size_t retire_every : {std::size_t{0}, std::size_t{3}}) {
-    fuzz::LiveRunOptions opts;
-    opts.provenance = false;
-    opts.retire_every = retire_every;
-    fuzz::LiveRun live = fuzz::run_program_live(spec, opts);
-    ASSERT_NE(live.runtime, nullptr)
-        << live.result.crash_message << " retire_every=" << retire_every;
-    EXPECT_EQ(live.result.dep_graph_hash, batch.dep_graph_hash)
+    serve::SessionOptions so;
+    so.retire_every = retire_every;
+    serve::StreamSession session(so);
+    feed_chunked(session, serialize(spec), 4096);
+    ASSERT_NE(session.runtime(), nullptr) << "retire_every=" << retire_every;
+    const serve::SessionResult& r = session.result();
+    EXPECT_EQ(r.dep_graph_hash, batch.dep_graph_hash)
         << "retire_every=" << retire_every;
-    EXPECT_EQ(live.result.schedule_hash, batch.schedule_hash)
+    EXPECT_EQ(r.schedule_hash, batch.schedule_hash)
         << "retire_every=" << retire_every;
-    EXPECT_EQ(live.result.launch_hashes, batch.launch_hashes)
+    EXPECT_EQ(r.launches, batch.launch_hashes.size())
         << "retire_every=" << retire_every;
-    EXPECT_EQ(live.result.final_hashes, batch.final_hashes)
+    EXPECT_EQ(r.value_hash, fnv1a_all(batch.launch_hashes))
+        << "retire_every=" << retire_every;
+    EXPECT_EQ(r.final_hashes, batch.final_hashes)
         << "retire_every=" << retire_every;
     // The resident window's DES schedule still honors every resident
     // dependence edge after retirement.
-    EXPECT_EQ(fuzz::validate_schedule(*live.runtime), "")
+    EXPECT_EQ(fuzz::validate_schedule(*session.runtime()), "")
         << "retire_every=" << retire_every;
   }
 }
@@ -291,6 +294,29 @@ TEST(ServeServer, StdinStreamEmitsResultAndMetrics) {
   EXPECT_EQ(server.stats().sessions_completed, 1u);
 }
 
+// The stdin transport runs the socket's session loop: a session that
+// throws replies with one error line and fails alone, and run_stream
+// returns normally.
+TEST(ServeServer, StdinSessionFailureFailsOnlyThatSession) {
+  ScopedCheckThrows catchable;
+  serve::ServerOptions options;
+  options.session.inject_check_failure_after = 10;
+  serve::Server server(options);
+  std::istringstream in(ghost_stream(4, 20));
+  std::ostringstream out;
+  server.run_stream(in, out);
+
+  std::vector<std::string> lines;
+  std::istringstream reply(out.str());
+  for (std::string line; std::getline(reply, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 1u) << out.str();
+  EXPECT_EQ(lines[0].rfind("{\"error\":", 0), 0u) << lines[0];
+  EXPECT_NE(lines[0].find("injected check failure"), std::string::npos)
+      << lines[0];
+  EXPECT_EQ(server.stats().sessions_failed, 1u);
+  EXPECT_EQ(server.stats().sessions_completed, 0u);
+}
+
 namespace {
 
 /// Minimal blocking AF_UNIX client: send `program`, shutdown the write
@@ -358,6 +384,31 @@ TEST(ServeServer, ConcurrentSocketClientsGetIdenticalResults) {
   EXPECT_NE(replies[0].find("\"ok\":true"), std::string::npos) << replies[0];
   EXPECT_EQ(server.stats().sessions_completed, 2u);
   EXPECT_EQ(server.stats().sessions_failed, 0u);
+}
+
+// Both transports apply a final statement that has no newline before EOF,
+// so the same bytes get the same result line over the socket and stdin.
+TEST(ServeServer, FinalUnterminatedLineCountsOnBothTransports) {
+  std::string program = ghost_stream(4, 6);
+  ASSERT_EQ(program.back(), '\n');
+  program.pop_back();
+
+  serve::ServerOptions options;
+  options.socket_path = test_socket_path("eof");
+  options.poll_interval_ms = 20;
+  serve::Server server(options);
+  server.start();
+  const std::string socket_reply =
+      client_roundtrip(options.socket_path, program, true);
+  server.stop();
+
+  serve::Server stdin_server(serve::ServerOptions{});
+  std::istringstream in(program);
+  std::ostringstream out;
+  stdin_server.run_stream(in, out);
+
+  EXPECT_NE(out.str().find("\"ok\":true"), std::string::npos) << out.str();
+  EXPECT_EQ(socket_reply, out.str());
 }
 
 // A stop() while a client holds an open session must drain it: the client
