@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <iterator>
 #include <limits>
 
 #include "common/check.h"
@@ -48,51 +47,117 @@ InstanceMap::SetId InstanceMap::HolderSets::with(SetId s, NodeID n) {
   return intern(std::move(m));
 }
 
+InstanceMap::RunTable::Pos InstanceMap::RunTable::seek(coord_t point,
+                                                      Pos from) const {
+  const std::size_t leaves = firsts_.size();
+  if (from.leaf == leaves) return from;
+  std::size_t leaf = from.leaf, idx = from.idx;
+  if (leaf + 1 < leaves && firsts_[leaf + 1] <= point) {
+    // Gallop to bracket the last leaf starting at or before `point`, then
+    // bisect the bracket.  Every run of an earlier leaf ends before it.
+    std::size_t lo = leaf + 1, step = 1;
+    while (lo + step < leaves && firsts_[lo + step] <= point) {
+      lo += step;
+      step *= 2;
+    }
+    const auto first = firsts_.begin();
+    leaf = static_cast<std::size_t>(
+        std::upper_bound(first + lo + 1, first + std::min(lo + step, leaves),
+                         point) -
+        first - 1);
+    idx = 0;
+  }
+  const std::vector<Run>& runs = leaves_[leaf];
+  auto it = std::partition_point(
+      runs.begin() + static_cast<std::ptrdiff_t>(idx), runs.end(),
+      [point](const Run& r) { return r.hi < point; });
+  if (it == runs.end()) return Pos{leaf + 1, 0};
+  return Pos{leaf, static_cast<std::size_t>(it - runs.begin())};
+}
+
+InstanceMap::RunTable::Pos InstanceMap::RunTable::insert(Pos before,
+                                                        const Run& run) {
+  std::size_t leaf = before.leaf, idx = before.idx;
+  if (idx == 0 && leaf > 0) {
+    // Between two leaves, append to the earlier one: its first point stays.
+    --leaf;
+    idx = leaves_[leaf].size();
+  } else if (leaves_.empty()) {
+    leaves_.emplace_back();
+    firsts_.push_back(run.lo);
+  }
+  if (leaves_[leaf].size() == kLeafRuns) {
+    constexpr std::size_t kHalf = kLeafRuns / 2;
+    std::vector<Run>& full = leaves_[leaf];
+    std::vector<Run> upper(full.begin() + kHalf, full.end());
+    full.erase(full.begin() + kHalf, full.end());
+    firsts_.insert(firsts_.begin() + static_cast<std::ptrdiff_t>(leaf) + 1,
+                   upper.front().lo);
+    leaves_.insert(leaves_.begin() + static_cast<std::ptrdiff_t>(leaf) + 1,
+                   std::move(upper));
+    if (idx > kHalf) {
+      ++leaf;
+      idx -= kHalf;
+    }
+  }
+  std::vector<Run>& runs = leaves_[leaf];
+  runs.insert(runs.begin() + static_cast<std::ptrdiff_t>(idx), run);
+  if (idx == 0) firsts_[leaf] = run.lo;
+  return Pos{leaf, idx};
+}
+
+void InstanceMap::RunTable::erase(Pos p) {
+  std::vector<Run>& runs = leaves_[p.leaf];
+  runs.erase(runs.begin() + static_cast<std::ptrdiff_t>(p.idx));
+  if (runs.empty()) {
+    leaves_.erase(leaves_.begin() + static_cast<std::ptrdiff_t>(p.leaf));
+    firsts_.erase(firsts_.begin() + static_cast<std::ptrdiff_t>(p.leaf));
+  } else if (p.idx == 0) {
+    firsts_[p.leaf] = runs.front().lo;
+  }
+}
+
 InstanceMap::InstanceMap(std::uint32_t nodes, NodeID home, IntervalSet domain)
     : nodes_(nodes), sets_(nodes), compact_at_(kMinCompact) {
   require(home < nodes, "home node out of range");
+  Pos end;
   for (const Interval& iv : domain.intervals())
-    runs_.emplace_hint(runs_.end(), iv.lo, Run{iv.hi, kAllNodes});
+    end = runs_.next(runs_.insert(end, Run{iv.lo, iv.hi, kAllNodes}));
 }
 
-InstanceMap::Runs::iterator InstanceMap::seek(coord_t pos) {
-  auto it = runs_.upper_bound(pos);
-  if (it != runs_.begin() && std::prev(it)->second.hi >= pos) return --it;
-  return it;
-}
-
-InstanceMap::Runs::iterator InstanceMap::assign(Runs::iterator it, coord_t lo,
-                                                coord_t hi, SetId s) {
-  Run& run = it->second;
+InstanceMap::Pos InstanceMap::assign(Pos at, coord_t lo, coord_t hi,
+                                     SetId s) {
+  Run& run = runs_[at];
   if (hi < run.hi) {
-    runs_.emplace_hint(std::next(it), hi + 1, Run{run.hi, run.holders});
+    const Run rest{hi + 1, run.hi, run.holders};
     run.hi = hi;
+    at = runs_.prev(runs_.insert(runs_.next(at), rest));
   }
-  if (it->first < lo) {
-    run.hi = lo - 1;
-    return merge(runs_.emplace_hint(std::next(it), lo, Run{hi, s}));
+  if (runs_[at].lo < lo) {
+    runs_[at].hi = lo - 1;
+    return merge(runs_.insert(runs_.next(at), Run{lo, hi, s}));
   }
-  run.holders = s;
-  return merge(it);
+  runs_[at].holders = s;
+  return merge(at);
 }
 
-InstanceMap::Runs::iterator InstanceMap::merge(Runs::iterator it) {
-  auto next = std::next(it);
-  if (next != runs_.end() && next->first == it->second.hi + 1 &&
-      next->second.holders == it->second.holders) {
-    it->second.hi = next->second.hi;
+InstanceMap::Pos InstanceMap::merge(Pos at) {
+  const Pos next = runs_.next(at);
+  if (!runs_.is_end(next) && runs_[next].lo == runs_[at].hi + 1 &&
+      runs_[next].holders == runs_[at].holders) {
+    runs_[at].hi = runs_[next].hi;
     runs_.erase(next);
   }
-  if (it != runs_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second.hi + 1 == it->first &&
-        prev->second.holders == it->second.holders) {
-      prev->second.hi = it->second.hi;
-      runs_.erase(it);
+  if (at.leaf > 0 || at.idx > 0) {
+    const Pos prev = runs_.prev(at);
+    if (runs_[prev].hi + 1 == runs_[at].lo &&
+        runs_[prev].holders == runs_[at].holders) {
+      runs_[prev].hi = runs_[at].hi;
+      runs_.erase(at);
       return prev;
     }
   }
-  return it;
+  return at;
 }
 
 std::vector<CopyPlan> InstanceMap::plan_read(NodeID dst,
@@ -103,18 +168,19 @@ std::vector<CopyPlan> InstanceMap::plan_read(NodeID dst,
   // 1. Fetch points not yet valid at dst, each from its lowest-numbered
   // holder; dst joins the holders of the whole domain.
   std::vector<std::pair<NodeID, Interval>> fetch;
+  Pos at;
   for (const Interval& iv : domain.intervals()) {
-    auto it = seek(iv.lo);
-    for (coord_t pos = iv.lo;; pos = it->second.hi + 1, ++it) {
-      invariant(it != runs_.end() && it->first <= pos,
+    at = runs_.seek(iv.lo, at);
+    for (coord_t pos = iv.lo;; pos = runs_[at].hi + 1, at = runs_.next(at)) {
+      invariant(!runs_.is_end(at) && runs_[at].lo <= pos,
                 "instance map: some requested points valid nowhere");
-      const SetId s = it->second.holders;
-      if (!sets_.contains(s, dst)) {
-        coord_t hi = std::min(iv.hi, it->second.hi);
-        fetch.emplace_back(sets_.lowest(s), Interval{pos, hi});
-        it = assign(it, pos, hi, sets_.with(s, dst));
+      const Run& run = runs_[at];
+      if (!sets_.contains(run.holders, dst)) {
+        const coord_t hi = std::min(iv.hi, run.hi);
+        fetch.emplace_back(sets_.lowest(run.holders), Interval{pos, hi});
+        at = assign(at, pos, hi, sets_.with(run.holders, dst));
       }
-      if (it->second.hi >= iv.hi) break;
+      if (runs_[at].hi >= iv.hi) break;
     }
   }
   std::stable_sort(fetch.begin(), fetch.end(), [](const auto& a,
@@ -152,18 +218,20 @@ std::vector<CopyPlan> InstanceMap::plan_read(NodeID dst,
 void InstanceMap::set_sole(NodeID node, const std::vector<Interval>& domain,
                            bool fill_gaps) {
   const SetId s = sets_.sole(node);
+  Pos at;
   for (const Interval& iv : domain) {
-    auto it = seek(iv.lo);
-    for (coord_t pos = iv.lo;; pos = it->second.hi + 1, ++it) {
-      if (it == runs_.end() || it->first > pos) {
+    at = runs_.seek(iv.lo, at);
+    for (coord_t pos = iv.lo;; pos = runs_[at].hi + 1, at = runs_.next(at)) {
+      if (runs_.is_end(at) || runs_[at].lo > pos) {
         // Points valid nowhere: a write makes them valid at the writer.
         invariant(fill_gaps, "instance map: applied points valid nowhere");
-        coord_t hi = it == runs_.end() ? iv.hi : std::min(iv.hi, it->first - 1);
-        it = merge(runs_.emplace_hint(it, pos, Run{hi, s}));
-      } else if (it->second.holders != s) {
-        it = assign(it, pos, std::min(iv.hi, it->second.hi), s);
+        const coord_t hi =
+            runs_.is_end(at) ? iv.hi : std::min(iv.hi, runs_[at].lo - 1);
+        at = merge(runs_.insert(at, Run{pos, hi, s}));
+      } else if (runs_[at].holders != s) {
+        at = assign(at, pos, std::min(iv.hi, runs_[at].hi), s);
       }
-      if (it->second.hi >= iv.hi) break;
+      if (runs_[at].hi >= iv.hi) break;
     }
   }
 }
@@ -223,15 +291,23 @@ void InstanceMap::record_reduction(NodeID node, const IntervalSet& domain,
 IntervalSet InstanceMap::valid_at(NodeID node) const {
   require(node < nodes_, "node out of range");
   std::vector<Interval> ivs;
-  for (const auto& [lo, run] : runs_) {
-    if (!sets_.contains(run.holders, node)) continue;
-    if (!ivs.empty() && ivs.back().hi + 1 == lo) {
-      ivs.back().hi = run.hi;
-    } else {
-      ivs.push_back(Interval{lo, run.hi});
+  for (const std::vector<Run>& leaf : runs_.leaves()) {
+    for (const Run& run : leaf) {
+      if (!sets_.contains(run.holders, node)) continue;
+      if (!ivs.empty() && ivs.back().hi + 1 == run.lo) {
+        ivs.back().hi = run.hi;
+      } else {
+        ivs.push_back(Interval{run.lo, run.hi});
+      }
     }
   }
   return IntervalSet::from_intervals(std::move(ivs));
+}
+
+std::size_t InstanceMap::run_count() const {
+  std::size_t n = 0;
+  for (const std::vector<Run>& leaf : runs_.leaves()) n += leaf.size();
+  return n;
 }
 
 void InstanceMap::compact_sets() {
@@ -239,10 +315,12 @@ void InstanceMap::compact_sets() {
   HolderSets fresh(nodes_);
   std::vector<SetId> remap(sets_.size(), kUnset);
   remap[kAllNodes] = kAllNodes;
-  for (auto& [lo, run] : runs_) {
-    SetId& to = remap[run.holders];
-    if (to == kUnset) to = fresh.intern(sets_.members(run.holders));
-    run.holders = to;
+  for (std::vector<Run>& leaf : runs_.leaves()) {
+    for (Run& run : leaf) {
+      SetId& to = remap[run.holders];
+      if (to == kUnset) to = fresh.intern(sets_.members(run.holders));
+      run.holders = to;
+    }
   }
   sets_ = std::move(fresh);
   compact_at_ = std::max(kMinCompact, 2 * sets_.size());

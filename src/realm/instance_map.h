@@ -10,12 +10,17 @@
 // the visibility algorithms decide *what* must be coherent; the instance
 // map decides *which bytes move between which nodes* to achieve it.
 //
-// Validity is one ordered interval map from point ranges to the set of
+// Validity is one sorted table of point ranges, each mapped to the set of
 // nodes holding them, and pending reductions are indexed by where their
 // bounds lie, so an operation visits only the ranges and buffers its
 // domain overlaps, never every node.  This is the ownership lookup of
 // distributed forests of octrees: owners are found by searching a range
-// partition, not by asking every process.
+// partition, not by asking every process, and a domain's intervals are
+// looked up as one sorted batch.  The table is chunked into small sorted
+// leaves with each leaf's first point in one flat array; a domain's first
+// interval searches that array, and each later interval walks forward
+// from where the previous one ended, skipping whole leaves by their first
+// point.
 #pragma once
 
 #include <array>
@@ -71,6 +76,10 @@ public:
   IntervalSet valid_at(NodeID node) const;
   /// Buffers with points still pending.
   std::size_t pending_reductions() const { return pending_.size(); }
+  /// Point ranges in the validity table (for tests; linear in the number
+  /// of leaves).  Equal neighbours always merge, so this is the number of
+  /// maximal ranges with one holder set.
+  std::size_t run_count() const;
 
 private:
   /// Holder sets are interned: a range stores a 32-bit id, and equal sets
@@ -97,13 +106,62 @@ private:
     std::map<std::vector<NodeID>, SetId> ids_;
   };
 
-  /// A maximal range [first, hi] with one holder set; ranges never overlap
+  /// A maximal range [lo, hi] with one holder set; ranges never overlap
   /// and equal neighbours are merged.  Points in no range are valid nowhere.
   struct Run {
+    coord_t lo;
     coord_t hi;
     SetId holders;
   };
-  using Runs = std::map<coord_t, Run>;
+
+  /// The runs in point order, chunked into sorted leaves of at most
+  /// kLeafRuns runs, with each leaf's first point in one flat array.  A
+  /// full leaf splits in halves on insert and an empty one is dropped; no
+  /// leaf is ever empty.  A run's `lo` never changes once inserted (splits
+  /// insert runs, merges extend `hi` and erase the later run), so the flat
+  /// array changes only when a leaf's first run is inserted or erased and
+  /// when a leaf splits or goes.  Every insert and erase may move the runs
+  /// behind it, so a position is valid only until the next one.
+  class RunTable {
+  public:
+    /// (leaf, index of the run in it); the end is (leaf count, 0).
+    struct Pos {
+      std::size_t leaf = 0;
+      std::size_t idx = 0;
+    };
+    static constexpr std::size_t kLeafRuns = 32;
+
+    Run& operator[](Pos p) { return leaves_[p.leaf][p.idx]; }
+    const Run& operator[](Pos p) const { return leaves_[p.leaf][p.idx]; }
+    bool is_end(Pos p) const { return p.leaf == leaves_.size(); }
+    Pos next(Pos p) const {
+      return p.idx + 1 < leaves_[p.leaf].size() ? Pos{p.leaf, p.idx + 1}
+                                                : Pos{p.leaf + 1, 0};
+    }
+    /// `p` is not the first run.
+    Pos prev(Pos p) const {
+      return p.idx > 0 ? Pos{p.leaf, p.idx - 1}
+                       : Pos{p.leaf - 1, leaves_[p.leaf - 1].size() - 1};
+    }
+    /// First run at or after `from` that ends at or after `point`; every
+    /// run before `from` must end before `point`.  Within from's leaf this
+    /// bisects; beyond it, it gallops over the leaves' first points and
+    /// bisects only the leaf it lands in.
+    Pos seek(coord_t point, Pos from) const;
+    /// Insert `run` just before `before` (which may be the end); returns
+    /// its position.
+    Pos insert(Pos before, const Run& run);
+    void erase(Pos p);
+    const std::vector<std::vector<Run>>& leaves() const { return leaves_; }
+    std::vector<std::vector<Run>>& leaves() { return leaves_; }
+
+  private:
+    /// A leaf splits before it outgrows kLeafRuns, a power of two, so
+    /// no leaf's capacity exceeds kLeafRuns.
+    std::vector<std::vector<Run>> leaves_;
+    std::vector<coord_t> firsts_; ///< leaves_[k].front().lo
+  };
+  using Pos = RunTable::Pos;
 
   /// A buffer's points still pending.  Buffers are indexed by the span of
   /// their bounds: level L holds those spanning at most 2^L points, keyed by
@@ -124,14 +182,12 @@ private:
   };
   using PendingIndex = std::set<std::pair<coord_t, std::uint64_t>>;
 
-  /// First run ending at or after `pos`.
-  Runs::iterator seek(coord_t pos);
-  /// Give [lo, hi], which lies inside `it`, the holders `s`; returns the
-  /// run that covers [lo, hi] after merging equal neighbours.
-  Runs::iterator assign(Runs::iterator it, coord_t lo, coord_t hi, SetId s);
-  /// Merge `it` with neighbours holding the same set; returns the run that
-  /// now covers it.
-  Runs::iterator merge(Runs::iterator it);
+  /// Give [lo, hi], which lies inside the run at `at`, the holders `s`;
+  /// returns the run that covers [lo, hi] after merging equal neighbours.
+  Pos assign(Pos at, coord_t lo, coord_t hi, SetId s);
+  /// Merge the run at `at` with neighbours holding the same set; returns
+  /// the run that now covers it.
+  Pos merge(Pos at);
   /// Make `node` the sole holder of every point of `domain`.
   void set_sole(NodeID node, const std::vector<Interval>& domain,
                 bool fill_gaps);
@@ -145,7 +201,7 @@ private:
 
   std::uint32_t nodes_;
   HolderSets sets_;
-  Runs runs_;
+  RunTable runs_;
   std::map<std::uint64_t, Pending> pending_; ///< by creation order
   std::array<PendingIndex, 64> by_span_;
   std::uint64_t levels_ = 0; ///< bit L set when by_span_[L] is not empty

@@ -172,7 +172,7 @@ void StreamSession::apply_item(const StreamItem& item) {
   // Verify before retirement can reclaim this item's interference
   // partners (the verifier indexes launches while they are resident).
   drain_verify();
-  maybe_retire(false);
+  maybe_retire();
   note_residency();
 }
 
@@ -194,7 +194,7 @@ void StreamSession::drain_verify() {
   }
 }
 
-void StreamSession::maybe_retire(bool force) {
+void StreamSession::maybe_retire() {
   Runtime& rt = executor_->runtime();
   if (retire_backoff_ > 0) --retire_backoff_;
   const bool over_cap =
@@ -202,7 +202,7 @@ void StreamSession::maybe_retire(bool force) {
       rt.resident_launches() > options_.max_resident_launches;
   const bool interval_due = options_.retire_every != 0 &&
                             launches_since_retire_ >= options_.retire_every;
-  if (!force && !interval_due && !(over_cap && retire_backoff_ == 0)) return;
+  if (!interval_due && !(over_cap && retire_backoff_ == 0)) return;
   const std::uint64_t retire_begin = obs::prof_now_ns();
   RetireStats r = rt.retire(options_.max_dead_eqsets);
   latency_->retire_pause.record(obs::prof_now_ns() - retire_begin);

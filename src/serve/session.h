@@ -184,7 +184,7 @@ private:
   void apply_item(const fuzz::StreamItem& item);
   void instantiate();
   void drain_verify();
-  void maybe_retire(bool force);
+  void maybe_retire();
   void note_residency();
 
   SessionOptions options_;

@@ -1,11 +1,14 @@
 // Differential test of realm/instance_map.h against ReferenceInstanceMap
 // (tests/reference_instance_map.h), the per-node map it replaced.  Seeded
-// traffic shaped like the paper's applications drives both maps at 4, 64
-// and 512 nodes; after every operation the full plan vectors (kind, source,
-// destination, points, operator and position), the valid set of every node
-// and the pending-reduction count must be identical.
+// traffic shaped like the paper's applications, plus traffic that churns
+// the run table's leaves, drives both maps at 4, 64 and 512 nodes; after
+// every operation the full plan vectors (kind, source, destination, points,
+// operator and position), the valid set of every node and the
+// pending-reduction count must be identical, and the map must hold exactly
+// the maximal ranges those valid sets imply.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 
 #include "common/rng.h"
@@ -16,10 +19,13 @@
 namespace visrt {
 namespace {
 
-/// Per-piece domains that a task of that piece reads, writes and reduces.
+/// Per-piece domains that a task of that piece reads, writes and reduces,
+/// and writes made in order before the seeded traffic, the k-th at node
+/// k mod nodes.
 struct Traffic {
   IntervalSet universe;
   std::vector<std::vector<IntervalSet>> reads, writes, reduces;
+  std::vector<IntervalSet> prologue;
 };
 
 /// Stencil: a grid of tiles linearized row-major, so every tile and halo
@@ -50,6 +56,17 @@ Traffic stencil_shaped(std::uint32_t px, std::uint32_t py) {
       t.reduces.push_back({tile});
     }
   }
+  return t;
+}
+
+/// Stencil on a grid 128 tiles wide and 2 high.  The prologue writes each
+/// tile at its own node, so one tile's consecutive rows lie 128 or more
+/// runs apart, several leaves of the run table, and a tile's walk from row
+/// to row gallops over the leaves between.
+Traffic wide_stencil_shaped() {
+  Traffic t = stencil_shaped(128, 2);
+  for (const std::vector<IntervalSet>& writes : t.writes)
+    t.prologue.push_back(writes.front());
   return t;
 }
 
@@ -104,6 +121,44 @@ Traffic random_shaped(std::uint32_t pieces, Rng& rng) {
   return t;
 }
 
+/// Leaf churn: the prologue writes every point on its own, so the run
+/// table starts as one run per point over many leaves.  Writes then cover
+/// up to 600 points (emptying whole leaves), three points anywhere
+/// (merging runs across leaf boundaries), every 40th to 120th point
+/// (galloping between intervals), or start before the first point, as do
+/// some reductions.  Reads stay inside the initial domain.
+Traffic churn_shaped(std::uint32_t pieces, Rng& rng) {
+  constexpr coord_t kUniverse = 2000;
+  auto span = [&rng](coord_t length) {
+    const coord_t lo = rng.range(0, kUniverse - 1);
+    return IntervalSet(lo, std::min(kUniverse - 1, lo + length - 1));
+  };
+  auto strided = [&rng] {
+    std::vector<Interval> ivs;
+    for (coord_t lo = rng.range(0, 99); lo < kUniverse;
+         lo += rng.range(40, 120)) {
+      const coord_t hi = std::min(kUniverse - 1, lo + rng.range(0, 3));
+      ivs.push_back(Interval{lo, hi});
+    }
+    return IntervalSet::from_intervals(std::move(ivs));
+  };
+  auto before_first = [&rng] {
+    const coord_t lo = -rng.range(1, 100);
+    return IntervalSet(lo, rng.range(0, 50));
+  };
+  Traffic t;
+  t.universe = IntervalSet(0, kUniverse - 1);
+  for (coord_t p = 0; p < kUniverse; ++p)
+    t.prologue.push_back(IntervalSet(p, p));
+  for (std::uint32_t i = 0; i < pieces; ++i) {
+    t.reads.push_back({span(1 + rng.range(0, 299)), span(1), strided()});
+    t.writes.push_back(
+        {span(1 + rng.range(0, 599)), span(3), strided(), before_first()});
+    t.reduces.push_back({span(1 + rng.range(0, 299)), before_first()});
+  }
+  return t;
+}
+
 ::testing::AssertionResult same_plans(const std::vector<CopyPlan>& got,
                                       const std::vector<CopyPlan>& want) {
   if (got.size() != want.size())
@@ -125,7 +180,28 @@ Traffic random_shaped(std::uint32_t pieces, Rng& rng) {
   return ::testing::AssertionSuccess();
 }
 
-enum class Shape { Stencil, Circuit, Random };
+/// Maximal point ranges with one non-empty holder set in the reference.
+/// A node's intervals are never adjacent, so the holder set changes at
+/// every point where some node's interval starts or ends.
+std::size_t maximal_runs(const ReferenceInstanceMap& ref,
+                         std::uint32_t nodes) {
+  std::map<coord_t, int> gained; ///< holders gained at each such point
+  for (NodeID n = 0; n < nodes; ++n) {
+    for (const Interval& iv : ref.valid_at(n).intervals()) {
+      ++gained[iv.lo];
+      --gained[iv.hi + 1];
+    }
+  }
+  std::size_t runs = 0;
+  int holders = 0;
+  for (const auto& [point, count] : gained) {
+    holders += count;
+    if (holders > 0) ++runs;
+  }
+  return runs;
+}
+
+enum class Shape { Stencil, Circuit, Random, WideStencil, Churn };
 
 struct Param {
   Shape shape;
@@ -140,12 +216,19 @@ TEST_P(InstanceMapDifferential, MatchesReference) {
   // More pieces than nodes on the small machine, fewer on the large ones.
   const std::uint32_t pieces = nodes == 4 ? 9 : 64;
   const std::uint32_t side = nodes == 4 ? 3 : 8;
-  Traffic t = shape == Shape::Stencil   ? stencil_shaped(side, side)
-              : shape == Shape::Circuit ? circuit_shaped(pieces, rng)
-                                        : random_shaped(pieces, rng);
+  Traffic t = shape == Shape::Stencil       ? stencil_shaped(side, side)
+              : shape == Shape::Circuit     ? circuit_shaped(pieces, rng)
+              : shape == Shape::Random      ? random_shaped(pieces, rng)
+              : shape == Shape::WideStencil ? wide_stencil_shaped()
+                                            : churn_shaped(pieces, rng);
   const std::uint32_t npieces = static_cast<std::uint32_t>(t.reads.size());
   InstanceMap map(nodes, 0, t.universe);
   ReferenceInstanceMap ref(nodes, 0, t.universe);
+  for (std::size_t k = 0; k < t.prologue.size(); ++k) {
+    const NodeID node = static_cast<NodeID>(k % nodes);
+    map.record_write(node, t.prologue[k]);
+    ref.record_write(node, t.prologue[k]);
+  }
   const int steps = nodes >= 512 ? 400 : 1000;
 
   for (int step = 0; step < steps; ++step) {
@@ -184,13 +267,18 @@ TEST_P(InstanceMapDifferential, MatchesReference) {
       ASSERT_EQ(map.valid_at(n), ref.valid_at(n))
           << "node " << n << " after " << what << " at node " << node
           << ", step " << step;
+    ASSERT_EQ(map.run_count(), maximal_runs(ref, nodes))
+        << "ranges after " << what << " at node " << node << ", step "
+        << step;
   }
 }
 
 std::string param_name(const ::testing::TestParamInfo<Param>& info) {
-  const char* shape = info.param.shape == Shape::Stencil   ? "stencil"
-                      : info.param.shape == Shape::Circuit ? "circuit"
-                                                           : "random";
+  const char* shape = info.param.shape == Shape::Stencil       ? "stencil"
+                      : info.param.shape == Shape::Circuit     ? "circuit"
+                      : info.param.shape == Shape::Random      ? "random"
+                      : info.param.shape == Shape::WideStencil ? "wide_stencil"
+                                                               : "churn";
   return std::string(shape) + "_" + std::to_string(info.param.nodes);
 }
 
@@ -200,7 +288,10 @@ INSTANTIATE_TEST_SUITE_P(
                       Param{Shape::Stencil, 512}, Param{Shape::Circuit, 4},
                       Param{Shape::Circuit, 64}, Param{Shape::Circuit, 512},
                       Param{Shape::Random, 4}, Param{Shape::Random, 64},
-                      Param{Shape::Random, 512}),
+                      Param{Shape::Random, 512}, Param{Shape::WideStencil, 4},
+                      Param{Shape::WideStencil, 64},
+                      Param{Shape::WideStencil, 512}, Param{Shape::Churn, 4},
+                      Param{Shape::Churn, 64}, Param{Shape::Churn, 512}),
     param_name);
 
 } // namespace
