@@ -8,6 +8,24 @@
 
 namespace visrt {
 
+namespace {
+/// First interval in [it, end) for which `lags` fails, where `lags` holds
+/// on a prefix of the range.  The first interval is tested on its own, so
+/// a lagging side that catches up in one step pays one comparison; past
+/// it the search gallops (steps of 1, 2, 4, ...) and bisects the bracket.
+template <typename Lags>
+const Interval* skip(const Interval* it, const Interval* end, Lags lags) {
+  if (it == end || !lags(*it)) return it;
+  // *it lags; the answer lies in (it, it + step] once it[step] does not.
+  std::ptrdiff_t step = 1;
+  while (step < end - it && lags(it[step])) {
+    it += step;
+    step *= 2;
+  }
+  return std::partition_point(it + 1, it + std::min(step, end - it), lags);
+}
+} // namespace
+
 IntervalSet::IntervalSet(coord_t lo, coord_t hi) {
   if (lo <= hi) intervals_.push_back(Interval{lo, hi});
 }
@@ -43,11 +61,6 @@ coord_t IntervalSet::volume() const {
   return total;
 }
 
-Interval IntervalSet::bounds() const {
-  if (intervals_.empty()) return Interval{};
-  return Interval{intervals_.front().lo, intervals_.back().hi};
-}
-
 bool IntervalSet::contains(coord_t p) const {
   // Binary search for the first interval with hi >= p.
   auto it = std::lower_bound(
@@ -59,11 +72,18 @@ bool IntervalSet::contains(coord_t p) const {
 bool IntervalSet::contains(const IntervalSet& o) const {
   // Each of o's intervals must be covered by a single interval of ours
   // (normalization guarantees no interval of o spans a gap of ours if and
-  // only if coverage holds interval-by-interval).
-  std::size_t i = 0;
-  for (const Interval& need : o.intervals_) {
-    while (i < intervals_.size() && intervals_[i].hi < need.lo) ++i;
-    if (i == intervals_.size() || !intervals_[i].covers(need)) return false;
+  // only if coverage holds interval-by-interval).  Ours skip to the first
+  // that reaches the needed interval; once one covers it, o skips every
+  // later interval that ends inside it too.
+  const Interval* a = intervals_.data();
+  const Interval* const a_end = a + intervals_.size();
+  const Interval* b = o.intervals_.data();
+  const Interval* const b_end = b + o.intervals_.size();
+  while (b != b_end) {
+    a = skip(a, a_end, [lo = b->lo](const Interval& iv) { return iv.hi < lo; });
+    if (a == a_end || !a->covers(*b)) return false;
+    b = skip(b + 1, b_end,
+             [hi = a->hi](const Interval& iv) { return iv.hi <= hi; });
   }
   return true;
 }
@@ -77,11 +97,21 @@ bool IntervalSet::overlaps(const Interval& o) const {
 }
 
 bool IntervalSet::overlaps(const IntervalSet& o) const {
-  std::size_t i = 0, j = 0;
-  while (i < intervals_.size() && j < o.intervals_.size()) {
-    if (intervals_[i].overlaps(o.intervals_[j])) return true;
-    if (intervals_[i].hi < o.intervals_[j].hi) ++i;
-    else ++j;
+  // Whichever side ends before the other's current interval starts skips
+  // to its first interval that reaches it.
+  const Interval* a = intervals_.data();
+  const Interval* const a_end = a + intervals_.size();
+  const Interval* b = o.intervals_.data();
+  const Interval* const b_end = b + o.intervals_.size();
+  while (a != a_end && b != b_end) {
+    if (a->hi < b->lo)
+      a = skip(a + 1, a_end,
+               [lo = b->lo](const Interval& iv) { return iv.hi < lo; });
+    else if (b->hi < a->lo)
+      b = skip(b + 1, b_end,
+               [lo = a->lo](const Interval& iv) { return iv.hi < lo; });
+    else
+      return true;
   }
   return false;
 }

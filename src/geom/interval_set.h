@@ -10,6 +10,15 @@
 // Multi-dimensional index spaces are linearized onto this representation
 // (see geom/rect.h), matching how Legion's sparse index spaces reduce to
 // lists of dense runs.
+//
+// The overlap and superset tests often pair a short set with a long one
+// (a halo row against a refined tile, a piece against a forest of
+// equivalence sets), so they do not walk the long side one interval at a
+// time: the side that lags steps once, and if it still lags it gallops
+// (1, 2, 4, ... intervals) and bisects the last step, landing on the
+// first interval that can still meet the other side.  Union, intersection
+// and difference build their output interval by interval and stay linear
+// merges.
 #pragma once
 
 #include <cstddef>
@@ -63,7 +72,10 @@ public:
   const std::vector<Interval>& intervals() const { return intervals_; }
 
   /// Smallest interval covering the whole set; empty interval if empty.
-  Interval bounds() const;
+  Interval bounds() const {
+    if (intervals_.empty()) return Interval{};
+    return Interval{intervals_.front().lo, intervals_.back().hi};
+  }
 
   bool contains(coord_t p) const;
   /// Superset test: does this set contain every point of `o`?

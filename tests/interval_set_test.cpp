@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <set>
 
 #include "common/check.h"
@@ -249,6 +251,190 @@ TEST_P(IntervalSetProperty, AlgebraicIdentities) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IntervalSetProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 42, 1234, 99999));
+
+// --- Skewed sizes: a long operand against a short one --------------------
+//
+// overlaps() and contains() gallop over the longer side, so these cases
+// pair 10^3-10^4 intervals with 1-20 and check all five operators, in both
+// orders, against a point bitmap over [0, universe).
+
+using Bits = std::vector<char>;
+
+Bits to_bits(const IntervalSet& s, coord_t universe) {
+  Bits bits(static_cast<std::size_t>(universe), 0);
+  s.for_each_point([&](coord_t p) { bits[static_cast<std::size_t>(p)] = 1; });
+  return bits;
+}
+
+IntervalSet from_bits(const Bits& bits) {
+  std::vector<Interval> ivs;
+  for (std::size_t p = 0; p < bits.size(); ++p) {
+    if (!bits[p]) continue;
+    const coord_t q = static_cast<coord_t>(p);
+    if (!ivs.empty() && ivs.back().hi + 1 == q) ivs.back().hi = q;
+    else ivs.push_back(Interval{q, q});
+  }
+  return IntervalSet::from_intervals(std::move(ivs));
+}
+
+/// All five operators on (a, b) against the bitmap model.
+void expect_matches_model(const IntervalSet& a, const IntervalSet& b,
+                          coord_t universe) {
+  const Bits ma = to_bits(a, universe), mb = to_bits(b, universe);
+  Bits mu(ma.size()), mi(ma.size()), md(ma.size());
+  bool overlap = false, includes = true;
+  for (std::size_t p = 0; p < ma.size(); ++p) {
+    mu[p] = ma[p] | mb[p];
+    mi[p] = ma[p] & mb[p];
+    md[p] = ma[p] & !mb[p];
+    overlap = overlap || mi[p];
+    includes = includes && (ma[p] || !mb[p]);
+  }
+  SCOPED_TRACE(::testing::Message() << a.interval_count() << " against "
+                                    << b.interval_count() << " intervals, b = "
+                                    << (b.interval_count() <= 20
+                                            ? b.to_string()
+                                            : std::string("(long)")));
+  EXPECT_EQ(a.overlaps(b), overlap);
+  EXPECT_EQ(a.contains(b), includes);
+  EXPECT_EQ(a | b, from_bits(mu));
+  EXPECT_EQ(a & b, from_bits(mi));
+  EXPECT_EQ(a - b, from_bits(md));
+}
+
+/// `n` intervals of 1-`len` points separated by gaps of 1-`gap` points.
+IntervalSet long_set(Rng& rng, int n, coord_t len, coord_t gap,
+                     coord_t* universe) {
+  std::vector<Interval> ivs;
+  coord_t at = rng.range(0, gap);
+  for (int k = 0; k < n; ++k) {
+    const coord_t lo = at;
+    at += rng.range(1, len);
+    ivs.push_back(Interval{lo, at - 1});
+    at += rng.range(1, gap);
+  }
+  *universe = at + gap;
+  return IntervalSet::from_intervals(std::move(ivs));
+}
+
+/// 1-20 intervals drawn in one of five ways relative to `big`: anywhere;
+/// inside single intervals of big (so big contains them); the same with
+/// one point pushed into a gap (so it does not); a few intervals spanning
+/// all of big (so they contain it); and the same with one hole punched
+/// next to a point of big.
+IntervalSet short_set(Rng& rng, const IntervalSet& big, coord_t universe) {
+  const std::vector<Interval>& ivs = big.intervals();
+  const int n = static_cast<int>(rng.range(1, 20));
+  std::vector<Interval> out;
+  switch (rng.below(5)) {
+  case 0:
+    for (int k = 0; k < n; ++k) {
+      const coord_t lo = rng.range(0, universe - 1);
+      out.push_back(Interval{lo, std::min(universe - 1,
+                                          lo + rng.range(0, universe / 64))});
+    }
+    return IntervalSet::from_intervals(std::move(out));
+  case 1:
+  case 2: {
+    for (int k = 0; k < n; ++k) {
+      const Interval& host = rng.pick(ivs);
+      const coord_t lo = rng.range(host.lo, host.hi);
+      out.push_back(Interval{lo, rng.range(lo, host.hi)});
+    }
+    IntervalSet inside = IntervalSet::from_intervals(std::move(out));
+    if (rng.chance(0.5)) return inside;
+    // Stretch one interval to the point after its host, a gap of big.
+    std::vector<Interval> poked = inside.intervals();
+    Interval& iv = poked[rng.below(poked.size())];
+    iv.hi = std::prev(std::upper_bound(ivs.begin(), ivs.end(), iv.lo,
+                                       [](coord_t v, const Interval& h) {
+                                         return v < h.lo;
+                                       }))->hi + 1;
+    return IntervalSet::from_intervals(std::move(poked));
+  }
+  default: {
+    // Cut [0, universe) at n - 1 points of big's gaps, then maybe drop
+    // one point of big.
+    std::vector<coord_t> cuts;
+    for (int k = 1; k < n; ++k) cuts.push_back(rng.pick(ivs).hi + 1);
+    std::sort(cuts.begin(), cuts.end());
+    coord_t lo = 0;
+    for (coord_t cut : cuts) {
+      if (cut > lo) out.push_back(Interval{lo, cut - 1});
+      lo = cut + 1;
+    }
+    out.push_back(Interval{lo, universe - 1});
+    IntervalSet cover = IntervalSet::from_intervals(std::move(out));
+    if (rng.chance(0.5)) return cover;
+    const Interval& host = rng.pick(ivs);
+    return cover - IntervalSet(host.hi, host.hi);
+  }
+  }
+}
+
+class IntervalSetSkewed : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(IntervalSetSkewed, LongAgainstShortMatchesModel) {
+  Rng rng(GetParam() * 0x9e3779b97f4a7c15ull);
+  for (int round = 0; round < 12; ++round) {
+    const int n = static_cast<int>(rng.range(1000, 10000));
+    coord_t universe = 0;
+    const IntervalSet big =
+        long_set(rng, n, rng.range(1, 8), rng.range(1, 8), &universe);
+    ASSERT_GE(big.interval_count(), 1000u);
+    for (int k = 0; k < 8; ++k) {
+      const IntervalSet small = short_set(rng, big, universe);
+      expect_matches_model(big, small, universe);
+      expect_matches_model(small, big, universe);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IntervalSetSkewed,
+                         ::testing::Values(1, 2, 3, 7, 2023));
+
+// Stencil-shaped pairs on a 4x4 grid of 128x128 tiles, linearized row
+// major: an interior tile (128 intervals), its radius-2 halo (132) and
+// 2-row strips along the edges of both.
+TEST(IntervalSetSkewed, StencilTileHaloAndEdgeStrips) {
+  constexpr coord_t kTile = 128, kRadius = 2, kWidth = 4 * kTile;
+  constexpr coord_t kUniverse = kWidth * kWidth;
+  auto rect = [](coord_t r0, coord_t c0, coord_t r1, coord_t c1) {
+    std::vector<Interval> ivs;
+    for (coord_t r = r0; r <= r1; ++r)
+      ivs.push_back(Interval{r * kWidth + c0, r * kWidth + c1});
+    return IntervalSet::from_intervals(std::move(ivs));
+  };
+  const coord_t r0 = kTile, c0 = kTile, r1 = 2 * kTile - 1, c1 = r1;
+  const IntervalSet tile = rect(r0, c0, r1, c1);
+  const IntervalSet halo =
+      rect(r0 - kRadius, c0 - kRadius, r1 + kRadius, c1 + kRadius);
+  ASSERT_EQ(tile.interval_count(), 128u);
+  ASSERT_EQ(halo.interval_count(), 132u);
+  const std::vector<IntervalSet> strips = {
+      rect(r0, c0, r0 + 1, c1),                     // tile's top rows
+      rect(r1 - 1, c0, r1, c1),                     // tile's bottom rows
+      rect(r0 - kRadius, c0, r0 - 1, c1),           // ghost rows above
+      rect(r1 + 1, c0, r1 + kRadius, c1),           // ghost rows below
+      rect(r1 + 1, c0 - kRadius, r1 + kRadius, c1), // ... and a corner
+      rect(r1 + kRadius + 1, c0, r1 + kRadius + 2, c1), // below the halo
+      rect(r0 + 60, c0 - kRadius, r0 + 61, c1),     // mid rows, left ghost
+  };
+  expect_matches_model(tile, halo, kUniverse);
+  expect_matches_model(halo, tile, kUniverse);
+  EXPECT_TRUE(halo.contains(tile));
+  EXPECT_FALSE(tile.contains(halo));
+  for (const IntervalSet& strip : strips) {
+    for (const IntervalSet* s : {&tile, &halo}) {
+      expect_matches_model(*s, strip, kUniverse);
+      expect_matches_model(strip, *s, kUniverse);
+    }
+  }
+  EXPECT_TRUE(tile.contains(strips[1]));
+  EXPECT_FALSE(tile.overlaps(strips[3]));
+  EXPECT_TRUE(halo.contains(strips[4]));
+  EXPECT_FALSE(halo.overlaps(strips[5]));
+}
 
 } // namespace
 } // namespace visrt
