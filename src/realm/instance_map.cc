@@ -37,14 +37,15 @@ InstanceMap::SetId InstanceMap::HolderSets::intern(std::vector<NodeID> m) {
   return it->second;
 }
 
-InstanceMap::SetId InstanceMap::HolderSets::sole(NodeID n) {
-  return intern({n});
-}
-
-InstanceMap::SetId InstanceMap::HolderSets::with(SetId s, NodeID n) {
-  std::vector<NodeID> m = members_[s];
+InstanceMap::SetId InstanceMap::HolderSets::add(SetId s, NodeID n) {
+  const std::uint64_t key = std::uint64_t{s} << 32 | n;
+  if (auto it = added_.find(key); it != added_.end()) return it->second;
+  std::vector<NodeID> m;
+  if (s != kNoSet) m = members_[s];
   m.insert(std::upper_bound(m.begin(), m.end(), n), n);
-  return intern(std::move(m));
+  const SetId id = intern(std::move(m));
+  added_.emplace(key, id);
+  return id;
 }
 
 InstanceMap::RunTable::Pos InstanceMap::RunTable::seek(coord_t point,

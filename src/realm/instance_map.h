@@ -20,13 +20,17 @@
 // leaves with each leaf's first point in one flat array; a domain's first
 // interval searches that array, and each later interval walks forward
 // from where the previous one ended, skipping whole leaves by their first
-// point.
+// point.  Each fetched range gains the reader as a holder; the interned
+// holder sets remember every such transition (set, node) -> set, so a
+// repeat, the common case, costs one hash lookup.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -87,23 +91,37 @@ private:
   using SetId = std::uint32_t;
   static constexpr SetId kAllNodes = 0;
 
+  /// The interned sets, plus a table of the transitions already taken:
+  /// `with(s, n)` and `sole(n)` answer a repeat from it without building
+  /// a member vector or searching the interned sets.  A transition names
+  /// ids, so the table lives exactly as long as the numbering it uses:
+  /// compaction interns the sets still in use into a fresh HolderSets.
   class HolderSets {
   public:
     explicit HolderSets(std::uint32_t nodes);
     bool contains(SetId s, NodeID n) const;
     /// Lowest-numbered member; `s` is not kAllNodes.
     NodeID lowest(SetId s) const { return members_[s].front(); }
-    SetId sole(NodeID n);
+    /// {n}.
+    SetId sole(NodeID n) { return add(kNoSet, n); }
     /// s ∪ {n}.
-    SetId with(SetId s, NodeID n);
+    SetId with(SetId s, NodeID n) { return add(s, n); }
     std::size_t size() const { return members_.size(); }
     SetId intern(std::vector<NodeID> members);
     const std::vector<NodeID>& members(SetId s) const { return members_[s]; }
 
   private:
+    /// Stands for the empty set in a transition's key; never a range's.
+    static constexpr SetId kNoSet = std::numeric_limits<SetId>::max();
+    /// The set `s` (kNoSet: none) plus `n`, from the table or interned
+    /// and recorded there.
+    SetId add(SetId s, NodeID n);
+
     std::uint32_t nodes_;
     std::vector<std::vector<NodeID>> members_; ///< sorted; [kAllNodes] empty
     std::map<std::vector<NodeID>, SetId> ids_;
+    /// (s << 32 | n) -> the id of s ∪ {n}.
+    std::unordered_map<std::uint64_t, SetId> added_;
   };
 
   /// A maximal range [lo, hi] with one holder set; ranges never overlap

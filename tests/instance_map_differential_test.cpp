@@ -273,6 +273,54 @@ TEST_P(InstanceMapDifferential, MatchesReference) {
   }
 }
 
+// Holder-set ids are renumbered when the interned sets are compacted, and
+// the map remembers which set adding a node to a set gives.  Here a write
+// at node 0 and reads at nodes 1-6 give each point 10 + mask the set of
+// node 0 and the mask's nodes, interning every such subset in mask order,
+// and after each mask point 0 is written at node 3 and read at node 2
+// ({3}, then {2, 3}).  The sets compact once, late in the sweep, and are
+// renumbered in point order: afterwards the same (set id, node) pairs come
+// back naming other sets (the id that named {0} names {0, 1, 2}), and {3}
+// and {2, 3} get new ids, so a transition kept from before would answer
+// with a stale id.
+TEST(InstanceMapDifferential, TransitionsDoNotOutliveCompaction) {
+  constexpr std::uint32_t kNodes = 8;
+  const IntervalSet universe(0, 199);
+  InstanceMap map(kNodes, 0, universe);
+  ReferenceInstanceMap ref(kNodes, 0, universe);
+  int step = 0;
+  auto read = [&](NodeID node, const IntervalSet& d) {
+    ASSERT_TRUE(same_plans(map.plan_read(node, d), ref.plan_read(node, d)))
+        << "read " << d << " at node " << node << ", step " << step;
+  };
+  auto write = [&](NodeID node, const IntervalSet& d) {
+    map.record_write(node, d);
+    ref.record_write(node, d);
+  };
+  auto check = [&] {
+    for (NodeID n = 0; n < kNodes; ++n)
+      ASSERT_EQ(map.valid_at(n), ref.valid_at(n))
+          << "node " << n << ", step " << step;
+    ASSERT_EQ(map.run_count(), maximal_runs(ref, kNodes)) << "step " << step;
+  };
+  const IntervalSet zero(0, 0);
+  write(1, zero);
+  ASSERT_NO_FATAL_FAILURE(read(2, zero));
+  for (coord_t mask = 1; mask < 64; ++mask, ++step) {
+    const IntervalSet point(10 + mask, 10 + mask);
+    write(0, point);
+    for (NodeID bit = 0; bit < 6; ++bit) {
+      if ((mask >> bit & 1) == 0) continue;
+      ASSERT_NO_FATAL_FAILURE(read(bit + 1, point));
+      ASSERT_NO_FATAL_FAILURE(check());
+    }
+    write(3, zero);
+    ASSERT_NO_FATAL_FAILURE(check());
+    ASSERT_NO_FATAL_FAILURE(read(2, zero));
+    ASSERT_NO_FATAL_FAILURE(check());
+  }
+}
+
 std::string param_name(const ::testing::TestParamInfo<Param>& info) {
   const char* shape = info.param.shape == Shape::Stencil       ? "stencil"
                       : info.param.shape == Shape::Circuit     ? "circuit"
