@@ -75,30 +75,30 @@ std::size_t WorkGraph::retire_ready_before(std::span<const SimTime> ready,
     if (ready[i] < ready_bound) ++retired;
   if (retired == 0) return 0;
 
+  // Compact in place, keeping both vectors' capacity for the ops pushed
+  // before the next retirement.  Ops and their dependence ranges lie in
+  // push order, so a survivor's write index never passes its read index.
   const OpID new_base = base_ + static_cast<OpID>(retired);
-  std::vector<Op> ops;
-  ops.reserve(n - retired);
-  std::vector<OpID> deps;
-  deps.reserve(deps_.size());
+  std::size_t kept = 0, kept_deps = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (ready[i] < ready_bound) continue;
     Op op = ops_[i];
-    const std::uint32_t begin = static_cast<std::uint32_t>(deps.size());
+    const std::uint32_t begin = static_cast<std::uint32_t>(kept_deps);
     for (std::uint32_t k = 0; k < op.dep_count; ++k) {
       const OpID d = deps_[op.dep_begin + k];
       const OpID nd = remap[d - base_];
       if (nd == kFrozenOp)
         op.floor = std::max(op.floor, finish[d - base_]);
       else
-        deps.push_back(nd);
+        deps_[kept_deps++] = nd;
     }
     op.dep_begin = begin;
-    op.dep_count = static_cast<std::uint32_t>(deps.size()) - begin;
-    remap[i] = new_base + static_cast<OpID>(ops.size());
-    ops.push_back(op);
+    op.dep_count = static_cast<std::uint32_t>(kept_deps) - begin;
+    remap[i] = new_base + static_cast<OpID>(kept);
+    ops_[kept++] = op;
   }
-  ops_ = std::move(ops);
-  deps_ = std::move(deps);
+  ops_.resize(kept);
+  deps_.resize(kept_deps);
   base_ = new_base;
   return retired;
 }
