@@ -89,9 +89,6 @@
 //     --metrics-json F           write the final metrics line to file F
 //                                at shutdown
 //
-//   Global: --log-json switches stderr logging to one JSON object per
-//   line.
-//
 // Examples:
 //   visrt_cli circuit warnock --nodes 64 --dcr --no-values
 //   visrt_cli stencil raycast --trace --verify
@@ -105,7 +102,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -120,7 +116,6 @@
 #include "apps/circuit.h"
 #include "apps/pennant.h"
 #include "apps/stencil.h"
-#include "common/log.h"
 #include "fuzz/oracle.h"
 #include "fuzz/serialize.h"
 #include "obs/flight.h"
@@ -174,8 +169,7 @@ int usage() {
                "       visrt_cli serve (--socket PATH | --stdin) "
                "[--engine NAME] [--retire-interval N] "
                "[--max-resident-launches N] [--max-history-depth N] "
-               "[--no-values] [--verify] [--metrics-json F]\n"
-               "       (any form accepts --log-json)\n");
+               "[--no-values] [--verify] [--metrics-json F]\n");
   return 2;
 }
 
@@ -1023,14 +1017,7 @@ int run_serve(std::vector<std::string> args) {
 } // namespace
 
 int main(int argc, char** argv) {
-  // --log-json applies to every command form; strip it before dispatch.
-  std::vector<std::string> args;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--log-json") == 0)
-      set_log_format(LogFormat::Json);
-    else
-      args.emplace_back(argv[i]);
-  }
+  std::vector<std::string> args(argv + 1, argv + argc);
   if (!args.empty() && args[0] == "verify")
     return run_verify({args.begin() + 1, args.end()});
   if (!args.empty() && args[0] == "explain")

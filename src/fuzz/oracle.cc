@@ -26,18 +26,17 @@ const char* failure_kind_name(FailureKind kind) {
 
 namespace {
 
-/// The whole spec through one Executor, with the launch log and order
-/// queries every downstream check reads (the spy, the schedule validator,
-/// explain).  Invariant violations and API errors become
-/// RunResult::crashed instead of aborting the process; the runtime is
-/// null then.  A malformed spec throws ApiError to the caller.
+/// The whole spec through one Executor, with the launch log every
+/// downstream check reads (the spy, the schedule validator, explain).
+/// Invariant violations and API errors become RunResult::crashed instead
+/// of aborting the process; the runtime is null then.  A malformed spec
+/// throws ApiError to the caller.
 LiveRun execute(const ProgramSpec& spec, const LiveRunOptions& options) {
   validate(spec);
   RuntimeConfig config = runtime_config(spec);
   if (options.subject.has_value()) config.algorithm = *options.subject;
   config.track_values = true;
   config.record_launches = true;
-  config.order_queries = true;
   config.provenance = options.provenance;
   config.telemetry = options.telemetry;
   config.profile = options.profile;
@@ -117,8 +116,8 @@ std::string validate_schedule(const Runtime& runtime) {
   // overlap in simulated time, even when every intermediate of the path
   // has no execution window of its own (an observe launch, say) and the
   // per-edge check above is blind.  Walk windows in start order keeping
-  // the set still executing; each overlapping pair costs one O(1)
-  // order-maintenance query (DepGraph::reaches).
+  // the set still executing; each overlapping pair costs one backward
+  // walk of the dependence graph (DepGraph::reaches).
   struct Window {
     SimTime start;
     SimTime finish;

@@ -107,8 +107,8 @@ LiveRun run_program_live(const ProgramSpec& spec,
 /// against the dependence order: (1) every direct edge is respected — a
 /// task's execution op starts only after each predecessor's execution op
 /// finished — and (2) no two *transitively* ordered launches overlap in
-/// simulated time, checked against O(1) order-maintenance queries over a
-/// start-time sweep (this catches overlaps ordered only through an
+/// simulated time, checked with DepGraph::reaches over a start-time
+/// sweep (this catches overlaps ordered only through an
 /// intermediate with no execution window, which the per-edge check cannot
 /// see).  Returns an empty string on success, else a description of the
 /// first violation.

@@ -7,7 +7,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "common/log.h"
 #include "runtime/runtime.h"
 
 namespace visrt::obs {
@@ -59,8 +58,10 @@ bool write_metrics_file(const std::string& path, std::string_view binary,
                         std::span<const std::string> runs) {
   std::ofstream out(path);
   if (!out) {
-    Logger(LogLevel::Warning, "obs")
-        << "cannot open metrics file for writing: " << path;
+    std::fprintf(stderr,
+                 "[visrt:obs] WARN: cannot open metrics file for writing: "
+                 "%s\n",
+                 path.c_str());
     return false;
   }
   write_metrics_envelope(out, binary, runs);

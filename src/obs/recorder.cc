@@ -60,10 +60,6 @@ SeriesSummary CounterSeries::summarize() const {
 
 void Recorder::enable() { enabled_ = true; }
 
-void Recorder::set_series_capacity(std::size_t capacity) {
-  series_capacity_ = std::max<std::size_t>(1, capacity);
-}
-
 void Recorder::set_max_spans(std::size_t max_spans) {
   max_spans_ = max_spans;
 }
@@ -102,7 +98,7 @@ std::size_t Recorder::series_id(std::string_view name) {
   auto it = series_ids_.find(std::string(name));
   if (it != series_ids_.end()) return it->second;
   std::size_t id = series_.size();
-  series_.emplace_back(std::string(name), series_capacity_);
+  series_.emplace_back(std::string(name), kSeriesCapacity);
   series_ids_.emplace(std::string(name), id);
   return id;
 }

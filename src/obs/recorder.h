@@ -106,10 +106,8 @@ class Recorder {
 public:
   bool enabled() const { return enabled_; }
 
-  /// Turn recording on.  Must be called before any spans/samples; the
-  /// limits apply to series created afterwards.
+  /// Turn recording on.  Must be called before any spans/samples.
   void enable();
-  void set_series_capacity(std::size_t capacity);
   void set_max_spans(std::size_t max_spans);
 
   /// Open a span; returns kInvalidSpan when disabled or at the span cap
@@ -137,7 +135,8 @@ public:
 private:
   bool enabled_ = false;
   Profiler profiler_;
-  std::size_t series_capacity_ = 4096;
+  /// Ring capacity of every counter series.
+  static constexpr std::size_t kSeriesCapacity = 4096;
   std::size_t max_spans_ = 1u << 20;
   /// A span's id is its index (and stamp); spans past max_spans_ are
   /// dropped, keeping recorded ids dense.

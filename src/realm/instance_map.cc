@@ -218,6 +218,8 @@ std::vector<CopyPlan> InstanceMap::plan_read(NodeID dst,
 
 void InstanceMap::set_sole(NodeID node, const std::vector<Interval>& domain,
                            bool fill_gaps) {
+  // plan_read passes the points its reductions changed, usually none.
+  if (domain.empty()) return;
   const SetId s = sets_.sole(node);
   Pos at;
   for (const Interval& iv : domain) {

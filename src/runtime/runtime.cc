@@ -18,6 +18,8 @@ namespace {
 constexpr std::uint64_t kRequestBytes = 128;
 /// Bytes per field element moved by the copy engine.
 constexpr std::uint64_t kElementBytes = 8;
+/// Dead eq-set husks retire() leaves resident before compacting them.
+constexpr std::size_t kHuskSlack = 1024;
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -31,11 +33,7 @@ Runtime::Runtime(RuntimeConfig config) : config_(std::move(config)) {
   config_.costs.validate();
   // Analysis runs on the calling thread (see RuntimeConfig).
   require(config_.analysis_threads == 1, "analysis_threads must be 1");
-  if (config_.order_queries) deps_.enable_order_queries();
-  if (config_.telemetry) {
-    recorder_.set_series_capacity(config_.telemetry_series_capacity);
-    recorder_.enable();
-  }
+  if (config_.telemetry) recorder_.enable();
   if (config_.profile) recorder_.profiler().enable();
   if (config_.provenance) {
     lifecycle_.enable();
@@ -183,13 +181,14 @@ LaunchID Runtime::launch(TaskLaunch launch) {
     }
   }
 
-  // Per-launch scratch: every short-lived id/op list below lives on the
-  // arena and dies at return; resetting here recycles the previous
-  // launch's chunks, so steady-state launches allocate without malloc.
-  // (launch() is not reentrant — task bodies do not launch subtasks.)
-  scratch_arena_.reset();
-  const ArenaAllocator<LaunchID> scratch_ids(&scratch_arena_);
-  const ArenaAllocator<sim::OpID> scratch_ops(&scratch_arena_);
+  // Per-launch scratch lists: members cleared here, so steady-state
+  // launches reuse their capacity.  (launch() is not reentrant — task
+  // bodies do not launch subtasks.)
+  issue_deps_.clear();
+  all_deps_.clear();
+  analysis_tails_.clear();
+  copy_ops_.clear();
+  exec_deps_.clear();
 
   // Launch issue: serialized on the analyzing node in program order (the
   // top-level task enumerates subtasks sequentially; with DCR each shard
@@ -200,23 +199,18 @@ LaunchID Runtime::launch(TaskLaunch launch) {
              : config_.costs.requirement_base_ns *
                        static_cast<SimTime>(launch.requirements.size()) +
                    (config_.dcr ? config_.costs.dcr_shard_ns : 0);
-  std::vector<sim::OpID, ArenaAllocator<sim::OpID>> issue_deps(scratch_ops);
   SimTime issue_floor = 0;
   if (issue_tail_[analysis_node] == sim::kFrozenOp)
     issue_floor = issue_tail_finish_[analysis_node];
   else if (issue_tail_[analysis_node] != sim::kInvalidOp)
-    issue_deps.push_back(issue_tail_[analysis_node]);
-  sim::OpID issue = graph_.compute(analysis_node, issue_cost, issue_deps,
+    issue_deps_.push_back(issue_tail_[analysis_node]);
+  sim::OpID issue = graph_.compute(analysis_node, issue_cost, issue_deps_,
                                    sim::OpCategory::Runtime, issue_floor);
 
   // Analyze every requirement: materialize (dependences + current values)
   // and plan the implicit communication.
   std::vector<Requirement> reqs;
   std::vector<PhysicalRegion> phys;
-  std::vector<LaunchID, ArenaAllocator<LaunchID>> all_deps(scratch_ids);
-  std::vector<sim::OpID, ArenaAllocator<sim::OpID>> analysis_tails(
-      scratch_ops);
-  std::vector<sim::OpID, ArenaAllocator<sim::OpID>> copy_ops(scratch_ops);
 
   reqs.reserve(launch.requirements.size());
   for (const RegionReq& rr : launch.requirements)
@@ -295,7 +289,7 @@ LaunchID Runtime::launch(TaskLaunch launch) {
       const Requirement& req = reqs[i];
       MaterializeResult& mr = mrs[i];
       record_launch_telemetry(id, launch.name, mr.steps);
-      for (LaunchID d : mr.dependences) add_dependence(all_deps, d);
+      for (LaunchID d : mr.dependences) add_dependence(all_deps_, d);
       // Under trace replay the analysis result is memoized: the engine still
       // runs (semantics stay exact and its state advances) but no analysis
       // work or messages are charged to the machine.
@@ -327,7 +321,7 @@ LaunchID Runtime::launch(TaskLaunch launch) {
               plan.kind == CopyPlan::Kind::Copy ? sim::OpCategory::Copy
                                                 : sim::OpCategory::Reduction,
               copy_floor);
-          copy_ops.push_back(copy);
+          copy_ops_.push_back(copy);
           if (msg_ledger_.enabled()) {
             msg_ledger_.record(sim::MessageRecord{
                 id, plan.src, plan.dst, bytes,
@@ -337,8 +331,8 @@ LaunchID Runtime::launch(TaskLaunch launch) {
           }
         }
       }
-      analysis_tails.insert(analysis_tails.end(), req_tails.begin(),
-                            req_tails.end());
+      analysis_tails_.insert(analysis_tails_.end(), req_tails.begin(),
+                             req_tails.end());
     }
   }
   analysis_wall_s_ += seconds_since(materialize_start);
@@ -348,21 +342,21 @@ LaunchID Runtime::launch(TaskLaunch launch) {
 
   // Dependence edges (program-order semantics) into both the dependence
   // graph and the work graph.
-  deps_.add_edges(id, all_deps);
-  auto exec_deps = analysis_tails; // arena-backed copy, same scratch arena
+  deps_.add_edges(id, all_deps_);
+  exec_deps_.assign(analysis_tails_.begin(), analysis_tails_.end());
   SimTime exec_floor = 0;
-  for (sim::OpID c : copy_ops) exec_deps.push_back(c);
-  for (LaunchID d : all_deps) {
+  for (sim::OpID c : copy_ops_) exec_deps_.push_back(c);
+  for (LaunchID d : all_deps_) {
     sim::OpID e = exec_of(d);
     if (e == sim::kFrozenOp)
       exec_floor = std::max(exec_floor, exec_finish_[d - launch_base_]);
     else if (e != sim::kInvalidOp)
-      exec_deps.push_back(e);
+      exec_deps_.push_back(e);
   }
   SimTime exec_cost = config_.costs.task_launch_ns +
                       config_.costs.task_element_ns *
                           static_cast<SimTime>(launch.work_items);
-  sim::OpID exec = graph_.compute(launch.mapped_node, exec_cost, exec_deps,
+  sim::OpID exec = graph_.compute(launch.mapped_node, exec_cost, exec_deps_,
                                   sim::OpCategory::TaskExec, exec_floor);
   exec_op_[id - launch_base_] = exec;
   current_iteration_execs_.push_back(exec);
@@ -636,7 +630,7 @@ std::uint64_t Runtime::schedule_hash() const {
   return h;
 }
 
-RetireStats Runtime::retire(std::size_t max_dead_eqsets) {
+RetireStats Runtime::retire() {
   RetireStats out;
 
   // ---- Work-graph freeze.  Retire the pop-order prefix of the DES
@@ -773,7 +767,7 @@ RetireStats Runtime::retire(std::size_t max_dead_eqsets) {
   }
 
   // ---- Engine-side husk compaction.
-  out.eqset_slots_reclaimed = engine_->compact_husks(max_dead_eqsets);
+  out.eqset_slots_reclaimed = engine_->compact_husks(kHuskSlack);
   out.launch_base = launch_base_;
   out.op_base = graph_.base();
   return out;

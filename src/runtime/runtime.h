@@ -28,7 +28,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/hash.h"
 #include "obs/histogram.h"
 #include "obs/lifecycle.h"
@@ -68,11 +67,8 @@ struct RuntimeConfig {
   /// so the spy verifier (analysis/spy.h) can recompute ground-truth
   /// interference after the run.  Off by default: verification-only memory.
   bool record_launches = false;
-  /// Attach an order-maintenance structure (common/order_maintenance.h) to
-  /// the dependence graph as it grows: DepGraph::reaches and every
-  /// consumer of transitive order (spy verifier, explain, the schedule
-  /// validator) answer in O(1) instead of walking the graph.  Off by
-  /// default; costs O(resident launches * chain width) memory.
+  /// No effect: the spy verifier builds its own order labels
+  /// (analysis/spy.h).  Kept because perfbench/visbench.cpp assigns it.
   bool order_queries = false;
   /// Record dependence provenance, the eq-set lifecycle ledger and the
   /// per-node message ledger (visrt_cli explain / inspect).  Off by
@@ -82,9 +78,6 @@ struct RuntimeConfig {
   /// analysis wall time to the instrumentation scopes' labels.  Off by
   /// default; off costs one branch per instrumentation scope.
   bool profile = false;
-  /// Ring-buffer capacity of each counter series (memory stays bounded for
-  /// arbitrarily long runs).
-  std::size_t telemetry_series_capacity = 4096;
   /// Analysis runs on the calling thread; the constructor requires 1.
   /// Kept because perfbench/visbench.cpp assigns it.
   unsigned analysis_threads = 1;
@@ -354,10 +347,10 @@ public:
   ///   2. Launch retirement — drop dep-graph predecessor lists and launch
   ///      records below min(engine watermark, schedule frontier).
   ///   3. Engine compaction — collapse dead eq-set husks once more than
-  ///      `max_dead_eqsets` are resident.
+  ///      1024 are resident.
   /// Analysis results, dep/schedule/value hashes and aggregate statistics
   /// are bit-identical with and without retirement, by construction.
-  RetireStats retire(std::size_t max_dead_eqsets = 0);
+  RetireStats retire();
 
   /// Rolling whole-stream schedule hash: the fold, in launch order, of
   /// each launch's exec-op finish time (~0 for launches without one).
@@ -394,11 +387,6 @@ private:
 
   RuntimeConfig config_;
   RegionTreeForest forest_;
-  /// Per-launch scratch memory: launch() resets it on entry and carves its
-  /// short-lived dependence/op-id lists out of it (common/arena.h), so the
-  /// per-launch malloc traffic of the hot path collapses to pointer bumps
-  /// into retained chunks.
-  Arena scratch_arena_;
   obs::Recorder recorder_;
   obs::LifecycleLedger lifecycle_;
   sim::MessageLedger msg_ledger_;
@@ -440,6 +428,14 @@ private:
   std::vector<SimTime> exec_start_;
   std::vector<SimTime> exec_finish_;
   std::vector<LaunchRecord> launch_log_;  ///< when recording
+  /// launch() scratch lists, cleared on entry: issue-op dependences,
+  /// dependence launches, analysis tails, copy ops and execution-op
+  /// dependences.  Reused, so a steady-state launch allocates none.
+  std::vector<sim::OpID> issue_deps_;
+  std::vector<LaunchID> all_deps_;
+  std::vector<sim::OpID> analysis_tails_;
+  std::vector<sim::OpID> copy_ops_;
+  std::vector<sim::OpID> exec_deps_;
   /// Per node: analysis-chain tail op (sim::kFrozenOp once retired; the
   /// tail's finish then lives in issue_tail_finish_).
   std::vector<sim::OpID> issue_tail_;

@@ -23,6 +23,9 @@ namespace visrt::serve {
 
 namespace {
 
+/// Samples the daemon's time-series ring keeps (oldest overwritten).
+constexpr std::size_t kSamplerCapacity = 600;
+
 /// The server whose state flight-recorder crash dumps should attach as
 /// context (last constructed wins; cleared by its destructor).  A plain
 /// function pointer is all obs::flight accepts — it must be callable
@@ -461,7 +464,7 @@ std::string Server::health_json() const {
            << ",\"launch_p99_ns\":" << smp.launch_p99_ns << "}";
     }
     os << ",\"sampler\":{\"samples\":" << taken
-       << ",\"capacity\":" << options_.sampler_capacity
+       << ",\"capacity\":" << kSamplerCapacity
        << ",\"interval_ms\":" << options_.sampler_interval_ms
        << ",\"series_tail\":[" << tail.str() << "]}";
   }
@@ -598,11 +601,10 @@ std::string Server::flight_context_json() const {
 }
 
 void Server::sampler_start() {
-  if (options_.sampler_interval_ms <= 0 || options_.sampler_capacity == 0)
-    return;
+  if (options_.sampler_interval_ms <= 0) return;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    samples_.assign(options_.sampler_capacity, ServeSample{});
+    samples_.assign(kSamplerCapacity, ServeSample{});
     samples_next_ = 0;
     samples_taken_ = 0;
   }

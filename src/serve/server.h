@@ -53,10 +53,8 @@ struct ServerOptions {
   int poll_interval_ms = 200;
   /// Background sampler cadence (daemon mode): every interval the
   /// sampler thread snapshots counters/latency/residency into the bounded
-  /// time-series ring.  0 disables the sampler.
+  /// time-series ring of 600 samples.  0 disables the sampler.
   int sampler_interval_ms = 1000;
-  /// Time-series ring capacity (oldest samples overwritten).
-  std::size_t sampler_capacity = 600;
 };
 
 /// One time-series point the sampler records (daemon mode).

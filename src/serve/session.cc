@@ -145,10 +145,9 @@ void StreamSession::instantiate() {
   config.analysis_threads = options_.analysis_threads;
   config.max_history_depth = options_.max_history_depth;
   config.launch_latency = &latency_->launch_analysis;
-  // Inline verification needs the launch log (ground-truth interference)
-  // and the order-maintenance labels (O(1) transitive order).
+  // Inline verification needs the launch log (ground-truth interference);
+  // the verifier builds its own order labels.
   config.record_launches = options_.verify;
-  config.order_queries = options_.verify;
   executor_ = std::make_unique<fuzz::Executor>(spec_, config);
   if (options_.verify)
     verifier_ = std::make_unique<analysis::IncrementalVerifier>();
@@ -204,7 +203,7 @@ void StreamSession::maybe_retire() {
                             launches_since_retire_ >= options_.retire_every;
   if (!interval_due && !(over_cap && retire_backoff_ == 0)) return;
   const std::uint64_t retire_begin = obs::prof_now_ns();
-  RetireStats r = rt.retire(options_.max_dead_eqsets);
+  RetireStats r = rt.retire();
   latency_->retire_pause.record(obs::prof_now_ns() - retire_begin);
   obs::flight_record(obs::FlightKind::RetireEpoch, counters_.retire_calls + 1,
                      rt.resident_launches());

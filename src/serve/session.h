@@ -69,8 +69,6 @@ struct SessionOptions {
   /// Per-equivalence-set history depth before value payloads collapse into
   /// a composite view (RuntimeConfig::max_history_depth; 0 = never).
   std::size_t max_history_depth = 64;
-  /// Husk-compaction slack forwarded to Runtime::retire.
-  std::size_t max_dead_eqsets = 1024;
   /// Execute task bodies and track region values (matches the oracle).
   /// Off for analysis-only ingest, where value hashes stay zero.
   bool track_values = true;

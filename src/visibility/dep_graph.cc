@@ -11,39 +11,33 @@ namespace visrt {
 
 void DepGraph::add_task(LaunchID id) {
   require(id == task_count(), "launches must be registered in order");
-  preds_.emplace_back();
+  starts_.push_back(preds_.size());
   depth_.push_back(1);
   best_depth_ = std::max<std::size_t>(best_depth_, 1);
   // Same fold the differential oracle always used for its dep-graph hash.
   stream_hash_ = fnv1a_u64(stream_hash_, 0x9e3779b97f4a7c15ULL + id);
-  if (order_) order_->add_node(id);
 }
 
 void DepGraph::add_edges(LaunchID to, std::span<const LaunchID> froms) {
-  require(to >= base_ && to < task_count(), "unknown destination launch");
-  std::span<LaunchID>& p = preds_[to - base_];
-  // Merge into the scratch list, then persist it with one arena copy; a
-  // re-finalized list abandons its old span (reclaimed at the next
-  // retirement compaction).
-  merge_scratch_.assign(p.begin(), p.end());
-  bool grew = false;
+  require(!starts_.empty() && to + 1 == task_count(),
+          "dependence edges must target the newest launch");
   for (LaunchID f : froms) {
     require(f < to, "dependence must point backwards in program order");
     require(f >= base_, "dependence names a retired launch");
-    if (std::find(merge_scratch_.begin(), merge_scratch_.end(), f) ==
-        merge_scratch_.end()) {
-      merge_scratch_.push_back(f);
-      grew = true;
+  }
+  // The newest launch's run is the table's tail: merge by appending, then
+  // sort the run.
+  const std::size_t start = starts_.back();
+  for (LaunchID f : froms) {
+    if (std::find(preds_.begin() + static_cast<std::ptrdiff_t>(start),
+                  preds_.end(), f) == preds_.end()) {
+      preds_.push_back(f);
       ++edges_;
-      if (order_) order_->add_edge(f, to);
     }
   }
-  std::sort(merge_scratch_.begin(), merge_scratch_.end());
-  if (grew)
-    p = arena_.copy_span<LaunchID>(
-        std::span<const LaunchID>(merge_scratch_));
-  std::size_t& d = depth_[to - base_];
-  for (LaunchID f : p) {
+  std::sort(preds_.begin() + static_cast<std::ptrdiff_t>(start), preds_.end());
+  std::size_t& d = depth_.back();
+  for (LaunchID f : run(to - base_)) {
     stream_hash_ = fnv1a_u64(stream_hash_, f);
     d = std::max(d, depth_[f - base_] + 1);
   }
@@ -54,16 +48,14 @@ void DepGraph::retire_prefix(LaunchID new_base) {
   require(new_base >= base_ && new_base <= task_count(),
           "dependence-graph retirement point out of range");
   if (new_base == base_) return;
-  const std::size_t drop = new_base - base_;
-  preds_.erase(preds_.begin(), preds_.begin() + static_cast<std::ptrdiff_t>(drop));
-  depth_.erase(depth_.begin(), depth_.begin() + static_cast<std::ptrdiff_t>(drop));
-  // Compact the surviving lists into a fresh arena so the retired
-  // prefix's memory (and any abandoned pre-merge spans) is released —
-  // the streaming service's bounded-residency contract.
-  Arena compacted;
-  for (std::span<LaunchID>& s : preds_)
-    s = compacted.copy_span<LaunchID>(std::span<const LaunchID>(s));
-  arena_ = std::move(compacted);
+  const auto drop = static_cast<std::ptrdiff_t>(new_base - base_);
+  const std::size_t cut =
+      new_base == task_count() ? preds_.size() : starts_[new_base - base_];
+  preds_.erase(preds_.begin(),
+               preds_.begin() + static_cast<std::ptrdiff_t>(cut));
+  starts_.erase(starts_.begin(), starts_.begin() + drop);
+  for (std::size_t& s : starts_) s -= cut;
+  depth_.erase(depth_.begin(), depth_.begin() + drop);
   for (auto it = prov_.begin(); it != prov_.end();) {
     if (it->first.second < new_base)
       it = prov_.erase(it);
@@ -71,33 +63,37 @@ void DepGraph::retire_prefix(LaunchID new_base) {
       ++it;
   }
   base_ = new_base;
-  if (order_) order_->retire_prefix(new_base);
+}
+
+std::span<const LaunchID> DepGraph::run(std::size_t slot) const {
+  const std::size_t end =
+      slot + 1 < starts_.size() ? starts_[slot + 1] : preds_.size();
+  return std::span<const LaunchID>(preds_).subspan(starts_[slot],
+                                                   end - starts_[slot]);
 }
 
 std::span<const LaunchID> DepGraph::preds(LaunchID id) const {
   require(id >= base_ && id < task_count(), "unknown launch");
-  return preds_[id - base_];
+  return run(id - base_);
 }
 
 bool DepGraph::has_edge(LaunchID from, LaunchID to) const {
-  require(to >= base_ && to < task_count(), "unknown launch");
-  std::span<const LaunchID> p = preds_[to - base_];
+  std::span<const LaunchID> p = preds(to);
   return std::binary_search(p.begin(), p.end(), from);
 }
 
 bool DepGraph::reaches(LaunchID from, LaunchID to) const {
   if (from >= to) return false;
   require(from >= base_, "reachability query names a retired launch");
-  if (order_) return order_->precedes(from, to);
   // Backwards DFS from `to`; ids below `from` cannot reach it.  Every
   // intermediate of a from->to path lies strictly between them, so the
   // walk never leaves the resident window.
   std::vector<LaunchID> stack{to};
-  std::vector<bool> seen(preds_.size(), false);
+  std::vector<bool> seen(starts_.size(), false);
   while (!stack.empty()) {
     LaunchID cur = stack.back();
     stack.pop_back();
-    for (LaunchID p : preds_[cur - base_]) {
+    for (LaunchID p : run(cur - base_)) {
       if (p == from) return true;
       if (p > from && !seen[p - base_]) {
         seen[p - base_] = true;
@@ -106,24 +102,6 @@ bool DepGraph::reaches(LaunchID from, LaunchID to) const {
     }
   }
   return false;
-}
-
-void DepGraph::enable_order_queries() {
-  if (order_) return;
-  order_.emplace();
-  // Replay node-then-its-edges so every edge targets the newest node — the
-  // relabel-free fast path.
-  for (LaunchID id = base_; id < task_count(); ++id) {
-    order_->add_node(id);
-    for (LaunchID f : preds_[id - base_])
-      if (f >= base_) order_->add_edge(f, id);
-  }
-}
-
-const OrderMaintenance& DepGraph::order() const {
-  require(order_.has_value(),
-          "order queries are not enabled on this dependence graph");
-  return *order_;
 }
 
 void DepGraph::set_provenance(LaunchID from, LaunchID to,

@@ -6,27 +6,33 @@
 // the tests to check soundness (every interfering pair is transitively
 // ordered) and precision (non-interfering pairs are not directly ordered).
 //
+// Launches arrive in id order (the paper's global clock, §3.1) and each
+// one's predecessors arrive right after it, so the graph is one flat table:
+// the predecessor ids of every resident launch, run after run in launch
+// order, and one start offset per launch.  Nothing is allocated per launch.
+//
 // For unbounded streams the graph supports *prefix retirement*: once the
 // engine proves no future edge can target launches below a watermark
-// (Runtime::retire), `retire_prefix` drops their predecessor lists.
+// (Runtime::retire), `retire_prefix` drops their predecessor runs.
 // Launch ids stay stable, aggregate counts (task_count, edge_count,
 // critical_path) remain whole-stream totals, and `stream_hash` folds every
 // task and edge as it arrives — so the hash of a retired run is
 // bit-identical to the batch run's by construction.
+//
+// Transitive order (`reaches`) is a backward walk.  Consumers that ask
+// many order queries — the spy verifier — build their own order labels
+// from the edge stream (common/order_maintenance.h).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/hash.h"
-#include "common/order_maintenance.h"
 #include "common/types.h"
 #include "obs/provenance.h"
 
@@ -39,23 +45,25 @@ public:
   /// Register a launch (ids must be registered in increasing order).
   void add_task(LaunchID id);
 
-  /// Add edges from each of `froms` to `to`; duplicates are ignored.
+  /// Add edges from each of `froms` to `to`, which must be the newest
+  /// launch; duplicates are ignored.
   void add_edges(LaunchID to, std::span<const LaunchID> froms);
 
   /// Total launches ever registered; resident ids are [base(), task_count()).
-  std::size_t task_count() const { return base_ + preds_.size(); }
+  std::size_t task_count() const { return base_ + starts_.size(); }
   std::size_t edge_count() const { return edges_; }
   /// First resident launch (0 until the first retire_prefix call).
   LaunchID base() const { return base_; }
 
-  /// Drop predecessor lists (and edge provenance) of launches below
+  /// Drop predecessor runs (and edge provenance) of launches below
   /// `new_base`.  The caller must guarantee no future add_edges call will
   /// name a retired launch as a source.
   void retire_prefix(LaunchID new_base);
 
-  /// Direct predecessors of a resident launch.  Retired launches' lists
-  /// are gone; predecessors of resident launches may still name retired
-  /// ids (edges into the retired prefix are kept on the resident side).
+  /// Direct predecessors of a resident launch, sorted.  Retired launches'
+  /// runs are gone; predecessors of resident launches may still name
+  /// retired ids (edges into the retired prefix are kept on the resident
+  /// side).  The span lives until the next add_edges or retire_prefix.
   std::span<const LaunchID> preds(LaunchID id) const;
 
   /// Is there a direct edge from -> to?  `to` must be resident.
@@ -63,18 +71,8 @@ public:
 
   /// Is `from` ordered before `to` through any path?  Both must be
   /// resident (every intermediate node of such a path then is too).
-  /// Backward DFS by default; O(1) once enable_order_queries is on.
+  /// Backward DFS from `to`.
   bool reaches(LaunchID from, LaunchID to) const;
-
-  /// Attach an order-maintenance structure (common/order_maintenance.h):
-  /// replays the resident window, then shadows every add_task / add_edges /
-  /// retire_prefix, turning `reaches` into an O(1) label compare.
-  /// Idempotent; adds O(resident * chain-width) memory.
-  void enable_order_queries();
-  bool order_queries_enabled() const { return order_.has_value(); }
-
-  /// The attached order structure (enable_order_queries must have run).
-  const OrderMaintenance& order() const;
 
   /// Length (in tasks) of the longest chain — the analysis' view of the
   /// critical path; a measure of how much parallelism was discovered.
@@ -99,19 +97,19 @@ public:
   std::size_t provenance_count() const { return prov_.size(); }
 
 private:
-  /// Predecessor lists live in an arena (one allocation per finalized
-  /// list, no per-edge malloc): add_edges merges into merge_scratch_ and
-  /// persists the result with one copy_span; retire_prefix compacts the
-  /// survivors into a fresh arena, releasing the retired lists' memory.
-  Arena arena_;
-  std::vector<LaunchID> merge_scratch_;
-  std::vector<std::span<LaunchID>> preds_; // indexed by LaunchID - base_
-  std::vector<std::size_t> depth_;         // longest chain ending at id
+  /// Predecessors of resident slot `slot` (= LaunchID - base_).
+  std::span<const LaunchID> run(std::size_t slot) const;
+
+  /// Every resident launch's sorted predecessor run, in launch order.
+  std::vector<LaunchID> preds_;
+  /// Per resident launch: where its run starts in preds_ (it ends where
+  /// the next launch's starts, or at preds_.end() for the newest).
+  std::vector<std::size_t> starts_;
+  std::vector<std::size_t> depth_; // longest chain ending at each launch
   LaunchID base_ = 0;
   std::size_t edges_ = 0;
   std::size_t best_depth_ = 0;
   std::uint64_t stream_hash_ = kFnvOffsetBasis;
-  std::optional<OrderMaintenance> order_;
   std::map<std::pair<LaunchID, LaunchID>, obs::EdgeProvenance> prov_;
 };
 

@@ -75,11 +75,8 @@ inline bool entry_depends(const HistEntry& e, const IntervalSet& dom,
 }
 
 /// Insert a dependence, keeping the list sorted and unique; initialization
-/// entries (kInvalidLaunch) are skipped.  Templated over the vector's
-/// allocator so arena-backed scratch lists (common/arena.h) work too.
-template <typename Alloc>
-inline void add_dependence(std::vector<LaunchID, Alloc>& deps,
-                           LaunchID task) {
+/// entries (kInvalidLaunch) are skipped.
+inline void add_dependence(std::vector<LaunchID>& deps, LaunchID task) {
   if (task == kInvalidLaunch) return;
   auto it = std::lower_bound(deps.begin(), deps.end(), task);
   if (it == deps.end() || *it != task) deps.insert(it, task);

@@ -131,9 +131,6 @@ TEST(SpyDifferential, HandBuiltGraphsMatchTheReference) {
     HandBuilt hb;
     const std::size_t n = 50 + rng.below(251);
     build_random(hb, rng, n, static_cast<FieldID>(2 + seed % 2));
-    // Odd seeds answer order queries through the graph's own structure,
-    // even seeds through the one verify() builds.
-    if (seed % 2 == 1) hb.deps.enable_order_queries();
     add_random_edges(hb, rng, /*keep=*/0.55 + 0.45 * rng.uniform(),
                      /*extra=*/0.03 * rng.uniform());
 
