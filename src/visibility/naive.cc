@@ -13,13 +13,13 @@ namespace {
 /// When `prov` is non-null, one HistoryWalk provenance record per hit is
 /// appended (stamped with `region`/`field`; the dep graph keeps the first
 /// per edge).
-void walk_history(const std::vector<HistEntry>& history,
+void walk_history(const std::vector<PaintEntry>& history,
                   const IntervalSet& dom, const Privilege& priv,
                   RegionData<double>* target, std::vector<LaunchID>& deps,
                   AnalysisCounters& c,
                   std::vector<obs::EdgeProvenance>* prov = nullptr,
                   RegionTreeID region = UINT32_MAX, FieldID field = 0) {
-  for (const HistEntry& e : history) {
+  for (const PaintEntry& e : history) {
     if (!entry_depends(e, dom, priv, c)) continue;
     add_dependence(deps, e.task);
     if (prov != nullptr && e.task != kInvalidLaunch) {
@@ -35,7 +35,7 @@ void walk_history(const std::vector<HistEntry>& history,
     }
   }
   if (target != nullptr) {
-    for (const HistEntry& e : history) {
+    for (const PaintEntry& e : history) {
       if (e.values.has_value()) paint_entry(*target, e, c);
     }
   }
@@ -54,7 +54,7 @@ void NaivePaintEngine::initialize_field(RegionHandle root, FieldID field,
   fs.root = root;
   fs.home = home;
   fs.root_domain = config_.forest->domain(root);
-  HistEntry init;
+  PaintEntry init;
   init.task = kInvalidLaunch;
   init.priv = Privilege::read_write();
   init.dom = fs.root_domain;
@@ -116,7 +116,7 @@ std::vector<AnalysisStep> NaivePaintEngine::commit(
   AnalysisCounters c;
   obs::Scope scope(config_.recorder, obs::SpanKind::Phase,
                    "naive/commit_register", ctx.task, ctx.analysis_node, &c);
-  HistEntry e;
+  PaintEntry e;
   e.task = ctx.task;
   e.priv = req.privilege;
   e.dom = config_.forest->domain(req.region);
@@ -153,7 +153,6 @@ void NaiveWarnockEngine::initialize_field(RegionHandle root, FieldID field,
   HistEntry init;
   init.task = kInvalidLaunch;
   init.priv = Privilege::read_write();
-  init.dom = fs.root_domain;
   init.owner = home;
   if (config_.track_values) {
     require(initial.domain() == fs.root_domain,
@@ -174,7 +173,7 @@ NaiveWarnockEngine::field_state(const Requirement& req) {
 }
 
 void NaiveWarnockEngine::refine(FieldState& fs, const IntervalSet& dom,
-                                AnalysisCounters& c, bool track_values) {
+                                AnalysisCounters& c) {
   std::vector<EqSet> refined;
   refined.reserve(fs.sets.size());
   for (EqSet& eq : fs.sets) {
@@ -189,19 +188,9 @@ void NaiveWarnockEngine::refine(FieldState& fs, const IntervalSet& dom,
     EqSet inside, outside;
     inside.dom = eq.dom.intersect(dom);
     outside.dom = eq.dom.subtract(dom);
-    for (HistEntry& e : eq.history) {
-      HistEntry in = e, out;
-      out.task = e.task;
-      out.priv = e.priv;
-      out.owner = e.owner;
-      in.dom = inside.dom;
-      out.dom = outside.dom;
-      if (track_values && e.values.has_value()) {
-        in.values = e.values->restricted(inside.dom);
-        out.values = e.values->restricted(outside.dom);
-      }
-      inside.history.push_back(std::move(in));
-      outside.history.push_back(std::move(out));
+    for (const HistEntry& e : eq.history) {
+      inside.history.push_back(restrict_entry(e, inside.dom));
+      outside.history.push_back(restrict_entry(e, outside.dom));
     }
     refined.push_back(std::move(inside));
     refined.push_back(std::move(outside));
@@ -220,7 +209,7 @@ MaterializeResult NaiveWarnockEngine::materialize(const Requirement& req,
     obs::Scope scope(config_.recorder, obs::SpanKind::Phase,
                      "naive/eqset_refine", ctx.task, ctx.analysis_node, &c);
     std::size_t before = fs.sets.size();
-    refine(fs, dom, c, config_.track_values);
+    refine(fs, dom, c);
     // Each split removes one set and creates two, so the net growth equals
     // the number of splits and the number of freshly created sets is twice
     // that.
@@ -253,7 +242,7 @@ MaterializeResult NaiveWarnockEngine::materialize(const Requirement& req,
       if (!dom.contains(eq.dom) || eq.dom.empty()) continue;
       ++c.eqset_visits;
       for (const HistEntry& e : eq.history) {
-        if (!entry_depends(e, eq.dom, req.privilege, c)) continue;
+        if (!entry_depends(e, req.privilege, c)) continue;
         add_dependence(out.dependences, e.task);
         if (config_.provenance && e.task != kInvalidLaunch) {
           obs::EdgeProvenance p;
@@ -275,7 +264,7 @@ MaterializeResult NaiveWarnockEngine::materialize(const Requirement& req,
       } else {
         piece = RegionData<double>::filled(eq.dom, 0.0);
         for (const HistEntry& e : eq.history) {
-          if (e.values.has_value()) paint_entry(piece, e, c);
+          if (e.values.has_value()) paint_entry(piece, e, eq.dom, c);
         }
       }
       data = data.empty() ? std::move(piece) : data.merged_with(piece);
@@ -306,7 +295,6 @@ std::vector<AnalysisStep> NaiveWarnockEngine::commit(
     HistEntry e;
     e.task = ctx.task;
     e.priv = req.privilege;
-    e.dom = eq.dom;
     e.owner = ctx.mapped_node;
     if (config_.track_values && !req.privilege.is_read()) {
       e.values = result.restricted(eq.dom);
@@ -368,7 +356,6 @@ MaterializeResult NaiveRayCastEngine::materialize(const Requirement& req,
   HistEntry e;
   e.task = ctx.task;
   e.priv = Privilege::read_write();
-  e.dom = dom;
   e.owner = ctx.mapped_node;
   if (config_.track_values) e.values = out.data;
   fresh.history.push_back(std::move(e));

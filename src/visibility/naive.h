@@ -47,7 +47,7 @@ public:
 
 private:
   struct FieldState : detail::NaiveFieldState {
-    std::vector<HistEntry> history;
+    std::vector<PaintEntry> history;
   };
   EngineConfig config_;
   std::unordered_map<FieldID, FieldState> fields_;
@@ -83,7 +83,7 @@ protected:
 
   /// Figure 9 refine(): split sets that partially overlap `dom`.
   static void refine(FieldState& fs, const IntervalSet& dom,
-                     AnalysisCounters& c, bool track_values);
+                     AnalysisCounters& c);
 
   FieldState& field_state(const Requirement& req);
 

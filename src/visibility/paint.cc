@@ -17,7 +17,7 @@ constexpr std::uint64_t kEntryMetaBytes = 64;
 
 std::uint64_t PaintEngine::CompositeView::bytes() const {
   std::uint64_t b = 64; // view header
-  for (const HistEntry& e : entries)
+  for (const PaintEntry& e : entries)
     b += kEntryMetaBytes + 16 * e.dom.interval_count();
   return b;
 }
@@ -30,7 +30,7 @@ void PaintEngine::initialize_field(RegionHandle root, FieldID field,
   fs.home = home;
   NodeState ns;
   ns.owner = home;
-  HistEntry init;
+  PaintEntry init;
   init.task = kInvalidLaunch;
   init.priv = Privilege::read_write();
   init.dom = config_.forest->domain(root);
@@ -93,7 +93,7 @@ void PaintEngine::adjust_counts(FieldState& fs, RegionHandle region,
 }
 
 void PaintEngine::flatten_subtree(
-    FieldState& fs, RegionHandle region, std::vector<HistEntry>& flat,
+    FieldState& fs, RegionHandle region, std::vector<PaintEntry>& flat,
     std::map<NodeID, std::uint64_t>& captured,
     std::vector<EqSetID>& dead_views) {
   auto it = fs.nodes.find(region.index);
@@ -104,7 +104,7 @@ void PaintEngine::flatten_subtree(
       if (el.view) {
         captured[el.view->owner] += el.view->entries.size();
         removed += static_cast<std::ptrdiff_t>(el.view->entries.size());
-        for (const HistEntry& e : el.view->entries) flat.push_back(e);
+        for (const PaintEntry& e : el.view->entries) flat.push_back(e);
         --fs.views_live;
         dead_views.push_back(el.view->id);
       } else {
@@ -135,7 +135,7 @@ void PaintEngine::capture(FieldState& fs, RegionHandle at,
                           const AnalysisContext& ctx,
                           std::vector<AnalysisStep>& steps,
                           AnalysisCounters& local) {
-  std::vector<HistEntry> flat;
+  std::vector<PaintEntry> flat;
   // Ordered by owner: the per-owner counts become AnalysisSteps, and step
   // order must not depend on hash-table iteration (it decides work-graph op
   // ids, hence simulated timing — repros must replay identically).
@@ -147,12 +147,12 @@ void PaintEngine::capture(FieldState& fs, RegionHandle at,
 
   // Launch ids are the global clock: sorting restores sequential order.
   std::stable_sort(flat.begin(), flat.end(),
-                   [](const HistEntry& a, const HistEntry& b) {
+                   [](const PaintEntry& a, const PaintEntry& b) {
                      return a.task < b.task;
                    });
 
   auto view = std::make_shared<CompositeView>();
-  for (const HistEntry& e : flat) {
+  for (const PaintEntry& e : flat) {
     view->full_dom = view->full_dom.unite(e.dom);
     if (e.priv.is_write()) view->write_set = view->write_set.unite(e.dom);
   }
@@ -207,7 +207,7 @@ void PaintEngine::capture(FieldState& fs, RegionHandle at,
   std::ptrdiff_t added = static_cast<std::ptrdiff_t>(view->entries.size());
   EqSetID view_id = view->id;
   NodeID view_owner = view->owner;
-  at_state.elements.push_back(Element{HistEntry{}, std::move(view)});
+  at_state.elements.push_back(Element{PaintEntry{}, std::move(view)});
   adjust_counts(fs, at, added);
   ++fs.views_created;
   ++fs.views_live;
@@ -274,7 +274,7 @@ void PaintEngine::close_subtrees(FieldState& fs,
   }
 }
 
-bool PaintEngine::skips_entry(const HistEntry& e) const {
+bool PaintEngine::skips_entry(const PaintEntry& e) const {
   // The synthetic fuzzer-validation bug: silently lose multi-interval
   // reduce entries (see EngineTuning::inject_paint_reduce_bug).
   return config_.tuning.inject_paint_reduce_bug && e.priv.is_reduce() &&
@@ -320,7 +320,7 @@ MaterializeResult PaintEngine::materialize(const Requirement& req,
     // walk.  Entry pointers stay valid: nothing below reallocates an
     // element or a view's entry vector.
     struct WalkItem {
-      const HistEntry* e;
+      const PaintEntry* e;
       NodeID direct_owner; ///< meaningful when !from_view
       bool from_view;
       EqSetID view_id; ///< id of the enclosing view (kNoEqSetID if direct)
@@ -349,7 +349,7 @@ MaterializeResult PaintEngine::materialize(const Requirement& req,
                                           ctx.task, fs.id, v.id, kNoEqSetID,
                                           ctx.analysis_node, fs.views_live);
             }
-            for (const HistEntry& e : v.entries)
+            for (const PaintEntry& e : v.entries)
               items.push_back(WalkItem{&e, 0, true, v.id});
           } else {
             items.push_back(WalkItem{&el.op, ns.owner, false, kNoEqSetID});
@@ -427,7 +427,7 @@ std::vector<AnalysisStep> PaintEngine::commit(const Requirement& req,
   AnalysisCounters c;
   obs::Scope scope(config_.recorder, obs::SpanKind::Phase,
                    "paint/commit_register", ctx.task, ctx.analysis_node, &c);
-  HistEntry e;
+  PaintEntry e;
   e.task = ctx.task;
   e.priv = req.privilege;
   e.dom = dom;

@@ -46,7 +46,7 @@ private:
   /// (launch ids are the global clock, so sorting by task id reproduces
   /// sequential order exactly).
   struct CompositeView {
-    std::vector<HistEntry> entries;
+    std::vector<PaintEntry> entries;
     IntervalSet write_set; ///< union of read-write entry domains
     IntervalSet full_dom;  ///< union of all entry domains
     NodeID owner = 0;      ///< node that constructed the view
@@ -58,7 +58,7 @@ private:
 
   /// One element of a node's history: a direct entry or a composite view.
   struct Element {
-    HistEntry op;  ///< valid when !view
+    PaintEntry op; ///< valid when !view
     ViewPtr view;
   };
 
@@ -86,7 +86,7 @@ private:
   NodeState& node_state(FieldState& fs, RegionHandle region);
 
   /// True when the injected test bug drops this history entry.
-  bool skips_entry(const HistEntry& e) const;
+  bool skips_entry(const PaintEntry& e) const;
 
   /// Add a privilege to the summaries of `region` and all its ancestors.
   void add_summary(FieldState& fs, RegionHandle region, const Privilege& p);
@@ -119,7 +119,7 @@ private:
   /// deterministic across runs and platforms).  Ids of views consumed by
   /// the flatten are appended to `dead_views` (lifecycle ledger).
   void flatten_subtree(FieldState& fs, RegionHandle region,
-                       std::vector<HistEntry>& flat,
+                       std::vector<PaintEntry>& flat,
                        std::map<NodeID, std::uint64_t>& captured,
                        std::vector<EqSetID>& dead_views);
 

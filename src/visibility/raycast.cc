@@ -22,7 +22,6 @@ void RayCastEngine::initialize_field(RegionHandle root, FieldID field,
   HistEntry init;
   init.task = kInvalidLaunch;
   init.priv = Privilege::read_write();
-  init.dom = eq.dom;
   init.owner = home;
   if (config_.track_values) {
     require(initial.domain() == eq.dom,
@@ -252,39 +251,33 @@ void RayCastEngine::split_set(FieldState& fs, std::uint32_t id,
   if (config_.lifecycle)
     config_.lifecycle->record(obs::LifecycleEventKind::Refine, launch, fs.id,
                               id, kNoEqSetID, old_owner, fs.live);
-  inside_id = create_set(fs, in_dom, inside_owner, launch, id, step.counters);
+  inside_id = create_set(fs, std::move(in_dom), inside_owner, launch, id,
+                         step.counters);
   std::uint32_t outside_id =
       create_set(fs, std::move(out_dom), old_owner, launch, id,
                  step.counters);
   steps.push_back(std::move(step));
 
-  for (HistEntry& e : fs.sets[id].history) {
-    HistEntry in, out;
-    in.task = out.task = e.task;
-    in.priv = out.priv = e.priv;
-    in.owner = out.owner = e.owner;
-    in.collapsed = out.collapsed = e.collapsed;
-    in.dom = fs.sets[inside_id].dom;
-    out.dom = fs.sets[outside_id].dom;
-    if (config_.track_values && e.values.has_value()) {
-      in.values = e.values->restricted(in.dom);
-      out.values = e.values->restricted(out.dom);
-    }
-    fs.sets[inside_id].history.push_back(std::move(in));
-    fs.sets[outside_id].history.push_back(std::move(out));
+  // The outside half keeps the old set's history, restricted in place.
+  EqSet& old = fs.sets[id];
+  EqSet& inside = fs.sets[inside_id];
+  EqSet& outside = fs.sets[outside_id];
+  inside.history.reserve(old.history.size());
+  for (const HistEntry& e : old.history)
+    inside.history.push_back(restrict_entry(e, inside.dom));
+  outside.history = std::move(old.history);
+  for (HistEntry& e : outside.history)
+    if (e.values.has_value()) e.values = e.values->restricted(outside.dom);
+  if (old.composite.has_value()) {
+    inside.composite = old.composite->restricted(inside.dom);
+    outside.composite = old.composite->restricted(outside.dom);
   }
-  if (fs.sets[id].composite.has_value()) {
-    fs.sets[inside_id].composite =
-        fs.sets[id].composite->restricted(fs.sets[inside_id].dom);
-    fs.sets[outside_id].composite =
-        fs.sets[id].composite->restricted(fs.sets[outside_id].dom);
-  }
-  fs.sets[inside_id].collapsed = fs.sets[id].collapsed;
-  fs.sets[outside_id].collapsed = fs.sets[id].collapsed;
-  fs.sets[id].live = false;
-  fs.sets[id].history.clear();
-  fs.sets[id].composite.reset();
-  fs.sets[id].collapsed = 0;
+  inside.collapsed = old.collapsed;
+  outside.collapsed = old.collapsed;
+  old.live = false;
+  old.history.clear();
+  old.composite.reset();
+  old.collapsed = 0;
   --fs.live;
   accel_remove(fs, id);
 }
@@ -358,24 +351,16 @@ std::vector<std::uint32_t> RayCastEngine::split_aligned(
     // not a pairwise refinement of a shrinking remainder.
     rc.interval_ops += piece_dom.interval_count();
     step.meta_bytes += 48;
-    std::uint32_t nid = create_set(fs, piece_dom, owner, launch, id, rc);
-    for (const HistEntry& e : fs.sets[id].history) {
-      HistEntry restricted;
-      restricted.task = e.task;
-      restricted.priv = e.priv;
-      restricted.owner = e.owner;
-      restricted.collapsed = e.collapsed;
-      restricted.dom = fs.sets[nid].dom;
-      if (config_.track_values && e.values.has_value()) {
-        restricted.values = e.values->restricted(fs.sets[nid].dom);
-      }
-      fs.sets[nid].history.push_back(std::move(restricted));
-    }
-    if (fs.sets[id].composite.has_value()) {
-      fs.sets[nid].composite =
-          fs.sets[id].composite->restricted(fs.sets[nid].dom);
-    }
-    fs.sets[nid].collapsed = fs.sets[id].collapsed;
+    std::uint32_t nid =
+        create_set(fs, std::move(piece_dom), owner, launch, id, rc);
+    const EqSet& old = fs.sets[id];
+    EqSet& carved = fs.sets[nid];
+    carved.history.reserve(old.history.size());
+    for (const HistEntry& e : old.history)
+      carved.history.push_back(restrict_entry(e, carved.dom));
+    if (old.composite.has_value())
+      carved.composite = old.composite->restricted(carved.dom);
+    carved.collapsed = old.collapsed;
     out.push_back(nid);
   };
   for (auto& [color, piece] : pieces) carve(std::move(piece));
@@ -467,7 +452,7 @@ MaterializeResult RayCastEngine::materialize(const Requirement& req,
                                        : fresh_step.counters;
       ++counters.eqset_visits;
       for (const HistEntry& e : s.history) {
-        if (!entry_depends(e, s.dom, req.privilege, counters)) continue;
+        if (!entry_depends(e, req.privilege, counters)) continue;
         add_dependence(out.dependences, e.task);
         if (config_.provenance && e.task != kInvalidLaunch) {
           obs::EdgeProvenance p;
@@ -491,7 +476,7 @@ MaterializeResult RayCastEngine::materialize(const Requirement& req,
                     : RegionData<double>::filled(s.dom, 0.0);
         for (const HistEntry& e : s.history) {
           if (e.collapsed || e.values.has_value())
-            paint_entry(piece, e, counters);
+            paint_entry(piece, e, s.dom, counters);
         }
       }
       if (vit == visited_by_split.end()) {
@@ -550,7 +535,6 @@ MaterializeResult RayCastEngine::materialize(const Requirement& req,
     HistEntry pending;
     pending.task = ctx.task;
     pending.priv = Privilege::read_write();
-    pending.dom = dom;
     pending.owner = ctx.mapped_node;
     if (config_.track_values) pending.values = out.data;
     fs.sets[fresh].history.push_back(std::move(pending));
@@ -605,7 +589,6 @@ std::vector<AnalysisStep> RayCastEngine::commit(
     HistEntry e;
     e.task = ctx.task;
     e.priv = req.privilege;
-    e.dom = s.dom;
     e.owner = ctx.mapped_node;
     if (config_.track_values && !req.privilege.is_read()) {
       e.values = result.restricted(s.dom);
@@ -636,7 +619,7 @@ void RayCastEngine::collapse_history(EqSet& s) {
   for (std::size_t h = s.collapsed; h < frontier; ++h) {
     HistEntry& e = s.history[h];
     if (e.values.has_value()) {
-      paint_entry(*s.composite, e, scratch);
+      paint_entry(*s.composite, e, s.dom, scratch);
       e.values.reset();
     }
     e.collapsed = true;

@@ -26,7 +26,6 @@ void WarnockEngine::initialize_field(RegionHandle root, FieldID field,
   HistEntry init;
   init.task = kInvalidLaunch;
   init.priv = Privilege::read_write();
-  init.dom = eq.dom;
   init.owner = home;
   if (config_.track_values) {
     require(initial.domain() == eq.dom,
@@ -108,20 +107,13 @@ void WarnockEngine::refine_leaf(FieldState& fs, std::uint32_t id,
   outside.dom = n.dom.subtract(cut);
   inside.owner = inside_owner;
   outside.owner = n.owner;
-  for (HistEntry& e : n.history) {
-    HistEntry in, out;
-    in.task = out.task = e.task;
-    in.priv = out.priv = e.priv;
-    in.owner = out.owner = e.owner;
-    in.dom = inside.dom;
-    out.dom = outside.dom;
-    if (config_.track_values && e.values.has_value()) {
-      in.values = e.values->restricted(inside.dom);
-      out.values = e.values->restricted(outside.dom);
-    }
-    inside.history.push_back(std::move(in));
-    outside.history.push_back(std::move(out));
-  }
+  // The outside half keeps the parent's history, restricted in place.
+  inside.history.reserve(n.history.size());
+  for (const HistEntry& e : n.history)
+    inside.history.push_back(restrict_entry(e, inside.dom));
+  outside.history = std::move(n.history);
+  for (HistEntry& e : outside.history)
+    if (e.values.has_value()) e.values = e.values->restricted(outside.dom);
   n.history.clear();
   n.live = false;
   n.left = static_cast<std::uint32_t>(fs.nodes.size());
@@ -200,7 +192,7 @@ MaterializeResult WarnockEngine::materialize(const Requirement& req,
       ++step.counters.eqset_visits;
       step.eqset = id;
       for (const HistEntry& e : n.history) {
-        if (!entry_depends(e, n.dom, req.privilege, step.counters)) continue;
+        if (!entry_depends(e, req.privilege, step.counters)) continue;
         add_dependence(out.dependences, e.task);
         if (config_.provenance && e.task != kInvalidLaunch) {
           obs::EdgeProvenance p;
@@ -218,7 +210,8 @@ MaterializeResult WarnockEngine::materialize(const Requirement& req,
       if (paint_values) {
         piece = RegionData<double>::filled(n.dom, 0.0);
         for (const HistEntry& e : n.history) {
-          if (e.values.has_value()) paint_entry(piece, e, step.counters);
+          if (e.values.has_value())
+            paint_entry(piece, e, n.dom, step.counters);
         }
       }
       step.meta_bytes = 64 + kEntryMetaBytes * n.history.size();
@@ -274,7 +267,6 @@ std::vector<AnalysisStep> WarnockEngine::commit(
     HistEntry e;
     e.task = ctx.task;
     e.priv = req.privilege;
-    e.dom = n.dom;
     e.owner = ctx.mapped_node;
     if (config_.track_values && !req.privilege.is_read()) {
       e.values = result.restricted(n.dom);
