@@ -21,6 +21,11 @@ constexpr std::uint64_t kElementBytes = 8;
 /// Dead eq-set husks retire() leaves resident before compacting them.
 constexpr std::size_t kHuskSlack = 1024;
 
+/// `op` as a dependence list: empty when there is no op.
+std::span<const sim::OpID> deps_on(const sim::OpID& op) {
+  return {&op, op == sim::kInvalidOp ? 0u : 1u};
+}
+
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
@@ -99,29 +104,24 @@ FieldID Runtime::add_field(RegionHandle root, std::string name,
   return field;
 }
 
-std::vector<sim::OpID> Runtime::emit_steps(
-    std::span<const AnalysisStep> steps, NodeID analysis_node,
-    sim::OpID head, LaunchID launch) {
+void Runtime::emit_steps(std::span<const AnalysisStep> steps,
+                         NodeID analysis_node, sim::OpID head,
+                         LaunchID launch, std::vector<sim::OpID>& tails) {
   // Local steps chain on the analyzing node; remote steps are issued
   // concurrently (one request/compute/response round trip per metadata
   // owner — Legion sends per-owner messages asynchronously and only the
   // task execution waits for all of them).
-  std::vector<sim::OpID> tails;
   sim::OpID local_tail = head;
   for (const AnalysisStep& step : steps) {
     SimTime cost = step.counters.cpu_ns(config_.costs);
     analysis_busy_ns_[step.owner] += cost;
     if (step.owner == analysis_node) {
-      std::vector<sim::OpID> deps;
-      if (local_tail != sim::kInvalidOp) deps.push_back(local_tail);
-      local_tail = graph_.compute(analysis_node, cost, deps,
+      local_tail = graph_.compute(analysis_node, cost, deps_on(local_tail),
                                   sim::OpCategory::Analysis);
       continue;
     }
-    std::vector<sim::OpID> deps;
-    if (head != sim::kInvalidOp) deps.push_back(head);
     sim::OpID request = graph_.message(analysis_node, step.owner,
-                                       kRequestBytes, deps,
+                                       kRequestBytes, deps_on(head),
                                        sim::OpCategory::Analysis);
     sim::OpID remote =
         graph_.compute(step.owner, cost, std::array{request},
@@ -140,7 +140,6 @@ std::vector<sim::OpID> Runtime::emit_steps(
     }
   }
   if (local_tail != sim::kInvalidOp) tails.push_back(local_tail);
-  return tails;
 }
 
 LaunchID Runtime::launch(TaskLaunch launch) {
@@ -293,9 +292,13 @@ LaunchID Runtime::launch(TaskLaunch launch) {
       // Under trace replay the analysis result is memoized: the engine still
       // runs (semantics stay exact and its state advances) but no analysis
       // work or messages are charged to the machine.
-      std::vector<sim::OpID> req_tails =
-          replay ? std::vector<sim::OpID>{issue}
-                 : emit_steps(mr.steps, analysis_node, issue, id);
+      copy_deps_.clear();
+      if (replay)
+        copy_deps_.push_back(issue);
+      else
+        emit_steps(mr.steps, analysis_node, issue, id, copy_deps_);
+      analysis_tails_.insert(analysis_tails_.end(), copy_deps_.begin(),
+                             copy_deps_.end());
       phys.emplace_back(req, std::move(mr.data));
 
       // Data movement: reads and read-writes need the current version at the
@@ -304,20 +307,19 @@ LaunchID Runtime::launch(TaskLaunch launch) {
       // requirement's analysis and the producing tasks (its dependences)
       // have finished.
       if (!req.privilege.is_reduce()) {
-        std::vector<sim::OpID> copy_deps = req_tails;
         SimTime copy_floor = 0;
         for (LaunchID d : mr.dependences) {
           sim::OpID e = exec_of(d);
           if (e == sim::kFrozenOp)
             copy_floor = std::max(copy_floor, exec_finish_[d - launch_base_]);
           else if (e != sim::kInvalidOp)
-            copy_deps.push_back(e);
+            copy_deps_.push_back(e);
         }
         for (const CopyPlan& plan : plans[i]) {
           std::uint64_t bytes =
               static_cast<std::uint64_t>(plan.points.volume()) * kElementBytes;
           sim::OpID copy = graph_.message(
-              plan.src, plan.dst, bytes, copy_deps,
+              plan.src, plan.dst, bytes, copy_deps_,
               plan.kind == CopyPlan::Kind::Copy ? sim::OpCategory::Copy
                                                 : sim::OpCategory::Reduction,
               copy_floor);
@@ -331,8 +333,6 @@ LaunchID Runtime::launch(TaskLaunch launch) {
           }
         }
       }
-      analysis_tails_.insert(analysis_tails_.end(), req_tails.begin(),
-                             req_tails.end());
     }
   }
   analysis_wall_s_ += seconds_since(materialize_start);
@@ -402,13 +402,8 @@ LaunchID Runtime::launch(TaskLaunch launch) {
     for (std::size_t i = 0; i < reqs.size(); ++i) {
       std::vector<AnalysisStep>& steps = commit_steps[i];
       record_launch_telemetry(id, launch.name, steps);
-      if (!replay) {
-        std::vector<sim::OpID> commit_tails =
-            emit_steps(steps, analysis_node, exec, id);
-        current_iteration_execs_.insert(current_iteration_execs_.end(),
-                                        commit_tails.begin(),
-                                        commit_tails.end());
-      }
+      if (!replay)
+        emit_steps(steps, analysis_node, exec, id, current_iteration_execs_);
     }
   }
   analysis_wall_s_ += seconds_since(commit_start);

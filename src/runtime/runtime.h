@@ -371,12 +371,12 @@ private:
   /// exec_op_ entry of a resident launch, bounds-checked.
   sim::OpID exec_of(LaunchID id) const;
 
-  /// Analysis steps -> work-graph ops; returns the tails every consumer
-  /// of the analysis (copies, the task execution) must wait on.  `launch`
-  /// stamps the message-ledger records of remote steps.
-  std::vector<sim::OpID> emit_steps(std::span<const AnalysisStep> steps,
-                                    NodeID analysis_node, sim::OpID head,
-                                    LaunchID launch);
+  /// Analysis steps -> work-graph ops; appends to `tails` the ops every
+  /// consumer of the analysis (copies, the task execution) must wait on.
+  /// `launch` stamps the message-ledger records of remote steps.
+  void emit_steps(std::span<const AnalysisStep> steps, NodeID analysis_node,
+                  sim::OpID head, LaunchID launch,
+                  std::vector<sim::OpID>& tails);
 
   /// Per-launch bookkeeping for telemetry (names + aggregated counters for
   /// trace span args); grown only while the recorder is enabled.
@@ -430,12 +430,15 @@ private:
   std::vector<LaunchRecord> launch_log_;  ///< when recording
   /// launch() scratch lists, cleared on entry: issue-op dependences,
   /// dependence launches, analysis tails, copy ops and execution-op
-  /// dependences.  Reused, so a steady-state launch allocates none.
+  /// dependences; and, cleared per requirement, its copies' dependences
+  /// (its analysis tails, then its producers' execution ops).  Reused, so
+  /// a steady-state launch allocates none.
   std::vector<sim::OpID> issue_deps_;
   std::vector<LaunchID> all_deps_;
   std::vector<sim::OpID> analysis_tails_;
   std::vector<sim::OpID> copy_ops_;
   std::vector<sim::OpID> exec_deps_;
+  std::vector<sim::OpID> copy_deps_;
   /// Per node: analysis-chain tail op (sim::kFrozenOp once retired; the
   /// tail's finish then lives in issue_tail_finish_).
   std::vector<sim::OpID> issue_tail_;
