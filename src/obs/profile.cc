@@ -18,13 +18,13 @@ void Profiler::close(std::string_view label, const Mark& mark) {
 }
 
 PhaseTotal& Profiler::phase_slot(std::string_view label) {
-  auto it = phase_ids_.find(std::string(label));
+  auto it = phase_ids_.find(label);
   if (it != phase_ids_.end()) return phases_[it->second];
   std::size_t id = phases_.size();
   PhaseTotal t;
   t.label.assign(label);
   phases_.push_back(std::move(t));
-  phase_ids_.emplace(std::string(label), id);
+  phase_ids_.emplace(label, id);
   return phases_[id];
 }
 

@@ -21,6 +21,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -96,7 +97,13 @@ private:
   /// is open is the wall of the scopes nested inside it.
   std::uint64_t recorded_ns_ = 0;
   std::vector<PhaseTotal> phases_;
-  std::unordered_map<std::string, std::size_t> phase_ids_;
+  /// Looked up by string_view (transparent hash and equality), so closing
+  /// a scope never builds a std::string.
+  struct LabelHash : std::hash<std::string_view> {
+    using is_transparent = void;
+  };
+  std::unordered_map<std::string, std::size_t, LabelHash, std::equal_to<>>
+      phase_ids_;
 };
 
 } // namespace visrt::obs
