@@ -85,6 +85,9 @@ struct EngineStats {
   /// History entries whose value payloads were folded into a composite
   /// view (EngineConfig::max_history_depth); a subset of history_entries.
   std::size_t collapsed_entries = 0;
+  /// Distinct domains held by the engine's interval store (ray casting);
+  /// 0 when the engine has none.
+  std::size_t interned_domains = 0;
 };
 
 /// The three algorithms of the paper, plus the naive pseudocode versions

@@ -17,14 +17,14 @@ void RayCastEngine::initialize_field(RegionHandle root, FieldID field,
   fs.id = field;
   fs.home = home;
   EqSet eq;
-  eq.dom = config_.forest->domain(root);
+  eq.dom = region_dom(root);
   eq.owner = home;
   HistEntry init;
   init.task = kInvalidLaunch;
   init.priv = Privilege::read_write();
   init.owner = home;
   if (config_.track_values) {
-    require(initial.domain() == eq.dom,
+    require(initial.domain() == store_.get(eq.dom),
             "initial data must cover the root region");
     init.values = std::move(initial);
   }
@@ -32,7 +32,7 @@ void RayCastEngine::initialize_field(RegionHandle root, FieldID field,
   fs.sets.push_back(std::move(eq));
   fs.total_created = 1;
   fs.live = 1;
-  fs.fallback.insert(fs.sets[0].dom.bounds(), 0);
+  fs.fallback.insert(store_.get(fs.sets[0].dom).bounds(), 0);
   if (config_.lifecycle)
     config_.lifecycle->record(obs::LifecycleEventKind::Create, kInvalidLaunch,
                               field, 0, kNoEqSetID, home, fs.live);
@@ -43,6 +43,14 @@ RayCastEngine::FieldState& RayCastEngine::field_state(FieldID field) {
   auto it = fields_.find(field);
   require(it != fields_.end(), "access to unregistered field");
   return it->second;
+}
+
+RayCastEngine::DomId RayCastEngine::region_dom(RegionHandle region) {
+  if (region.index >= region_dom_.size())
+    region_dom_.resize(region.index + 1, kNone);
+  DomId& id = region_dom_[region.index];
+  if (id == kNone) id = store_.intern(config_.forest->domain(region));
+  return id;
 }
 
 void RayCastEngine::select_accel(FieldState& fs, RegionHandle region,
@@ -80,6 +88,7 @@ void RayCastEngine::rebuild_accel(FieldState& fs, AnalysisCounters& local) {
   fs.fallback = IntervalTree{};
   fs.color_cache.clear();
   fs.align_cache.clear();
+  fs.accel_colors.clear();
   for (std::uint32_t id = 0; id < fs.sets.size(); ++id) {
     if (!fs.sets[id].live) continue;
     accel_insert(fs, id, local);
@@ -88,22 +97,34 @@ void RayCastEngine::rebuild_accel(FieldState& fs, AnalysisCounters& local) {
 
 void RayCastEngine::accel_insert(FieldState& fs, std::uint32_t id,
                                  AnalysisCounters& local) {
-  const EqSet& s = fs.sets[id];
+  const DomId dom = fs.sets[id].dom;
   if (!fs.accel_partition.valid()) {
-    fs.fallback.insert(s.dom.bounds(), id);
+    fs.fallback.insert(store_.get(dom).bounds(), id);
     ++local.accel_nodes;
     return;
   }
-  BvhQueryResult colors = fs.color_bvh.query(s.dom.bounds());
-  local.accel_nodes += colors.nodes_visited;
-  const RegionTreeForest& forest = *config_.forest;
-  std::span<const RegionHandle> children = forest.children(fs.accel_partition);
-  for (std::uint64_t color : colors.items) {
-    local.interval_ops += 1;
-    if (forest.domain(children[color]).overlaps(s.dom)) {
-      fs.buckets[color].push_back(id);
-    }
+  for (std::uint64_t color : accel_colors(fs, dom, local).colors)
+    fs.buckets[color].push_back(id);
+}
+
+const RayCastEngine::AccelColors& RayCastEngine::accel_colors(
+    FieldState& fs, DomId dom, AnalysisCounters& local) {
+  auto [it, fresh] = fs.accel_colors.try_emplace(dom);
+  AccelColors& c = it->second;
+  if (fresh) {
+    const IntervalSet& d = store_.get(dom);
+    BvhQueryResult q = fs.color_bvh.query(d.bounds());
+    c.nodes_visited = q.nodes_visited;
+    c.candidates = q.items.size();
+    const RegionTreeForest& forest = *config_.forest;
+    std::span<const RegionHandle> children =
+        forest.children(fs.accel_partition);
+    for (std::uint64_t color : q.items)
+      if (forest.domain(children[color]).overlaps(d)) c.colors.push_back(color);
   }
+  local.accel_nodes += c.nodes_visited;
+  local.interval_ops += c.candidates;
+  return c;
 }
 
 void RayCastEngine::accel_remove(FieldState& fs, std::uint32_t id) {
@@ -125,8 +146,8 @@ std::vector<std::uint32_t> RayCastEngine::cast(FieldState& fs,
     for (std::uint64_t id : q.items) {
       const EqSet& s = fs.sets[id];
       local.interval_ops += 1;
-      if (s.live && s.dom.overlaps(dom)) ids.push_back(
-          static_cast<std::uint32_t>(id));
+      if (s.live && store_.get(s.dom).overlaps(dom))
+        ids.push_back(static_cast<std::uint32_t>(id));
     }
     return ids;
   }
@@ -144,7 +165,7 @@ std::vector<std::uint32_t> RayCastEngine::cast(FieldState& fs,
     for (std::uint32_t id : bucket) {
       if (!fs.sets[id].live) continue;
       bucket[keep++] = id;
-      if (fs.sets[id].dom.overlaps(dom)) {
+      if (store_.get(fs.sets[id].dom).overlaps(dom)) {
         local.interval_ops += 1;
         ids.push_back(id);
       }
@@ -200,12 +221,12 @@ const std::vector<std::uint64_t>& RayCastEngine::colors_for(
       .first->second;
 }
 
-std::uint32_t RayCastEngine::create_set(FieldState& fs, IntervalSet dom,
+std::uint32_t RayCastEngine::create_set(FieldState& fs, DomId dom,
                                         NodeID owner, LaunchID launch,
                                         EqSetID parent,
                                         AnalysisCounters& charge) {
   EqSet s;
-  s.dom = std::move(dom);
+  s.dom = dom;
   s.owner = owner;
   std::uint32_t id = static_cast<std::uint32_t>(fs.sets.size());
   fs.sets.push_back(std::move(s));
@@ -219,9 +240,9 @@ std::uint32_t RayCastEngine::create_set(FieldState& fs, IntervalSet dom,
   return id;
 }
 
-void RayCastEngine::split_set(FieldState& fs, std::uint32_t id,
-                              const IntervalSet& cut, NodeID inside_owner,
-                              LaunchID launch, std::uint32_t& inside_id,
+void RayCastEngine::split_set(FieldState& fs, std::uint32_t id, DomId cut,
+                              NodeID inside_owner, LaunchID launch,
+                              std::uint32_t& inside_id,
                               std::vector<AnalysisStep>& steps) {
   // Equivalence-set refinement, as in Warnock: the old set dies, two new
   // ones inherit the restricted history.  The split is performed by the
@@ -231,46 +252,49 @@ void RayCastEngine::split_set(FieldState& fs, std::uint32_t id,
   step.owner = fs.sets[id].owner;
   step.eqset = id;
   ++step.counters.eqset_refines;
-  const Interval sb = fs.sets[id].dom.bounds();
-  const Interval cb = cut.bounds();
-  std::size_t signature = hash_all(sb.lo, sb.hi, fs.sets[id].dom.volume(),
-                                   cb.lo, cb.hi, cut.volume());
+  const IntervalSet& set_dom = store_.get(fs.sets[id].dom);
+  const IntervalSet& cut_dom = store_.get(cut);
+  const Interval sb = set_dom.bounds();
+  const Interval cb = cut_dom.bounds();
+  std::size_t signature = hash_all(sb.lo, sb.hi, set_dom.volume(), cb.lo,
+                                   cb.hi, cut_dom.volume());
   if (fs.split_signatures.insert(signature).second) {
     // First time this (set, cut) pair is refined: compute the restricted
     // domains.  Repeats hit the interned-expression cache.
     step.counters.refine_intervals +=
-        fs.sets[id].dom.interval_count() + cut.interval_count();
+        set_dom.interval_count() + cut_dom.interval_count();
   } else {
     ++step.counters.interval_ops;
   }
   step.meta_bytes = 96;
 
-  IntervalSet in_dom = fs.sets[id].dom.intersect(cut);
-  IntervalSet out_dom = fs.sets[id].dom.subtract(cut);
+  const DomId in_dom = store_.intersect(fs.sets[id].dom, cut);
+  const DomId out_dom = store_.subtract(fs.sets[id].dom, cut);
   NodeID old_owner = fs.sets[id].owner;
   if (config_.lifecycle)
     config_.lifecycle->record(obs::LifecycleEventKind::Refine, launch, fs.id,
                               id, kNoEqSetID, old_owner, fs.live);
-  inside_id = create_set(fs, std::move(in_dom), inside_owner, launch, id,
-                         step.counters);
+  inside_id =
+      create_set(fs, in_dom, inside_owner, launch, id, step.counters);
   std::uint32_t outside_id =
-      create_set(fs, std::move(out_dom), old_owner, launch, id,
-                 step.counters);
+      create_set(fs, out_dom, old_owner, launch, id, step.counters);
   steps.push_back(std::move(step));
 
   // The outside half keeps the old set's history, restricted in place.
   EqSet& old = fs.sets[id];
   EqSet& inside = fs.sets[inside_id];
   EqSet& outside = fs.sets[outside_id];
+  const IntervalSet& in_set = store_.get(in_dom);
+  const IntervalSet& out_set = store_.get(out_dom);
   inside.history.reserve(old.history.size());
   for (const HistEntry& e : old.history)
-    inside.history.push_back(restrict_entry(e, inside.dom));
+    inside.history.push_back(restrict_entry(e, in_set));
   outside.history = std::move(old.history);
   for (HistEntry& e : outside.history)
-    if (e.values.has_value()) e.values = e.values->restricted(outside.dom);
+    if (e.values.has_value()) e.values = e.values->restricted(out_set);
   if (old.composite.has_value()) {
-    inside.composite = old.composite->restricted(inside.dom);
-    outside.composite = old.composite->restricted(outside.dom);
+    inside.composite = old.composite->restricted(in_set);
+    outside.composite = old.composite->restricted(out_set);
   }
   inside.collapsed = old.collapsed;
   outside.collapsed = old.collapsed;
@@ -283,19 +307,20 @@ void RayCastEngine::split_set(FieldState& fs, std::uint32_t id,
 }
 
 std::vector<std::uint32_t> RayCastEngine::split_aligned(
-    FieldState& fs, std::uint32_t id, const IntervalSet& dom,
+    FieldState& fs, std::uint32_t id, const IntervalSet& dom, DomId dom_id,
     NodeID inside_owner, LaunchID launch, std::vector<AnalysisStep>& steps,
     AnalysisCounters& local) {
   if (!fs.accel_partition.valid()) return {};
   const RegionTreeForest& forest = *config_.forest;
   std::span<const RegionHandle> children = forest.children(fs.accel_partition);
+  const DomId set_dom = fs.sets[id].dom;
 
   // Interned fast path: steady-state programs re-create sets with the
   // same domains every iteration, and a set known to sit inside a single
   // subregion never needs alignment.
-  const Interval sb0 = fs.sets[id].dom.bounds();
-  std::size_t align_sig =
-      hash_all(sb0.lo, sb0.hi, fs.sets[id].dom.volume());
+  const IntervalSet& sd = store_.get(set_dom);
+  const Interval sb0 = sd.bounds();
+  std::size_t align_sig = hash_all(sb0.lo, sb0.hi, sd.volume());
   auto ait = fs.align_cache.find(align_sig);
   if (ait != fs.align_cache.end() && !ait->second) {
     ++local.accel_nodes;
@@ -304,31 +329,26 @@ std::vector<std::uint32_t> RayCastEngine::split_aligned(
 
   // Which subregions does the set span?  Test cheaply first: the common
   // steady-state case is a set already aligned to a single subregion, and
-  // it must not pay for speculative intersections.
-  BvhQueryResult q = fs.color_bvh.query(fs.sets[id].dom.bounds());
-  local.accel_nodes += q.nodes_visited;
-  std::vector<std::uint64_t> hits;
-  for (std::uint64_t color : q.items) {
-    ++local.interval_ops;
-    if (forest.domain(children[color]).overlaps(fs.sets[id].dom))
-      hits.push_back(color);
-  }
-  fs.align_cache[align_sig] = hits.size() >= 2;
-  if (hits.size() < 2) return {}; // nothing to align
+  // it must not pay for speculative intersections.  The answer is the one
+  // accel_insert found for this domain.
+  const AccelColors& hits = accel_colors(fs, set_dom, local);
+  fs.align_cache[align_sig] = hits.colors.size() >= 2;
+  if (hits.colors.size() < 2) return {}; // nothing to align
 
-  std::vector<std::pair<std::uint64_t, IntervalSet>> pieces;
-  for (std::uint64_t color : hits) {
-    IntervalSet piece =
-        forest.domain(children[color]).intersect(fs.sets[id].dom);
-    local.interval_ops += piece.interval_count() + 1;
-    if (!piece.empty()) pieces.emplace_back(color, std::move(piece));
+  std::vector<DomId> pieces;
+  pieces.reserve(hits.colors.size() + 1);
+  for (std::uint64_t color : hits.colors) {
+    DomId piece = store_.intersect(region_dom(children[color]), set_dom);
+    local.interval_ops += store_.get(piece).interval_count() + 1;
+    if (piece != IntervalStore::kEmpty) pieces.push_back(piece);
   }
 
   // Pieces of a complete partition cover the set; anything outside (the
   // partition may sit below the root) stays in a remainder set.
-  IntervalSet covered;
-  for (const auto& [color, piece] : pieces) covered = covered.unite(piece);
-  IntervalSet remainder = fs.sets[id].dom.subtract(covered);
+  DomId covered = IntervalStore::kEmpty;
+  for (DomId piece : pieces) covered = store_.unite(covered, piece);
+  const DomId remainder = store_.subtract(set_dom, covered);
+  if (remainder != IntervalStore::kEmpty) pieces.push_back(remainder);
 
   // The whole k-way alignment is performed by the old set's owner in a
   // single operation (one message): this is the Section 7.1 advantage over
@@ -343,28 +363,27 @@ std::vector<std::uint32_t> RayCastEngine::split_aligned(
   if (config_.lifecycle)
     config_.lifecycle->record(obs::LifecycleEventKind::Refine, launch, fs.id,
                               id, kNoEqSetID, old_owner, fs.live);
-  auto carve = [&](IntervalSet piece_dom) {
-    NodeID owner = dom.contains(piece_dom) ? inside_owner : old_owner;
+  for (DomId piece : pieces) {
+    const IntervalSet& piece_dom = store_.get(piece);
+    NodeID owner = piece == dom_id || dom.contains(piece_dom) ? inside_owner
+                                                              : old_owner;
     AnalysisCounters& rc = step.counters;
     // One bulk decomposition against the partition's precomputed
     // subspaces: each piece costs a creation plus cheap interval copies,
     // not a pairwise refinement of a shrinking remainder.
     rc.interval_ops += piece_dom.interval_count();
     step.meta_bytes += 48;
-    std::uint32_t nid =
-        create_set(fs, std::move(piece_dom), owner, launch, id, rc);
+    std::uint32_t nid = create_set(fs, piece, owner, launch, id, rc);
     const EqSet& old = fs.sets[id];
     EqSet& carved = fs.sets[nid];
     carved.history.reserve(old.history.size());
     for (const HistEntry& e : old.history)
-      carved.history.push_back(restrict_entry(e, carved.dom));
+      carved.history.push_back(restrict_entry(e, piece_dom));
     if (old.composite.has_value())
-      carved.composite = old.composite->restricted(carved.dom);
+      carved.composite = old.composite->restricted(piece_dom);
     carved.collapsed = old.collapsed;
     out.push_back(nid);
-  };
-  for (auto& [color, piece] : pieces) carve(std::move(piece));
-  if (!remainder.empty()) carve(std::move(remainder));
+  }
   steps.push_back(std::move(step));
 
   fs.sets[id].live = false;
@@ -380,6 +399,7 @@ MaterializeResult RayCastEngine::materialize(const Requirement& req,
                                              const AnalysisContext& ctx) {
   FieldState& fs = field_state(req.field);
   const IntervalSet& dom = config_.forest->domain(req.region);
+  const DomId dom_id = region_dom(req.region);
 
   MaterializeResult out;
   AnalysisCounters local;
@@ -407,20 +427,23 @@ MaterializeResult RayCastEngine::materialize(const Requirement& req,
     while (!work.empty()) {
       std::uint32_t id = work.back();
       work.pop_back();
-      if (!fs.sets[id].live || fs.sets[id].dom.empty()) continue;
-      if (dom.contains(fs.sets[id].dom)) {
+      const DomId set_dom = fs.sets[id].dom;
+      if (!fs.sets[id].live || set_dom == IntervalStore::kEmpty) continue;
+      // Equal domains have equal ids: the common steady-state case.
+      if (set_dom == dom_id || dom.contains(store_.get(set_dom))) {
         inside_ids.push_back(id);
         continue;
       }
-      if (!fs.sets[id].dom.overlaps(dom)) continue;
+      if (!store_.get(set_dom).overlaps(dom)) continue;
       std::vector<std::uint32_t> aligned = split_aligned(
-          fs, id, dom, ctx.mapped_node, ctx.task, out.steps, local);
+          fs, id, dom, dom_id, ctx.mapped_node, ctx.task, out.steps, local);
       if (!aligned.empty()) {
         for (std::uint32_t nid : aligned) work.push_back(nid);
         continue;
       }
       std::uint32_t inside = kNone;
-      split_set(fs, id, dom, ctx.mapped_node, ctx.task, inside, out.steps);
+      split_set(fs, id, dom_id, ctx.mapped_node, ctx.task, inside,
+                out.steps);
       // The split response already carries the inside half's state: its
       // visit merges into the split's round trip.
       visited_by_split[inside] = out.steps.size() - 1;
@@ -443,7 +466,8 @@ MaterializeResult RayCastEngine::materialize(const Requirement& req,
                      &local, &out.steps);
     for (std::uint32_t id : inside_ids) {
       const EqSet& s = fs.sets[id];
-      if (s.dom.empty()) continue;
+      if (s.dom == IntervalStore::kEmpty) continue;
+      const IntervalSet& set_dom = store_.get(s.dom);
       auto vit = visited_by_split.find(id);
       AnalysisStep fresh_step;
       fresh_step.eqset = id;
@@ -473,10 +497,10 @@ MaterializeResult RayCastEngine::materialize(const Requirement& req,
         // inside paint_entry without repainting.
         piece = s.composite.has_value()
                     ? *s.composite
-                    : RegionData<double>::filled(s.dom, 0.0);
+                    : RegionData<double>::filled(set_dom, 0.0);
         for (const HistEntry& e : s.history) {
           if (e.collapsed || e.values.has_value())
-            paint_entry(piece, e, s.dom, counters);
+            paint_entry(piece, e, set_dom, counters);
         }
       }
       if (vit == visited_by_split.end()) {
@@ -528,7 +552,7 @@ MaterializeResult RayCastEngine::materialize(const Requirement& req,
     AnalysisStep create_step;
     create_step.owner = ctx.mapped_node;
     create_step.meta_bytes = 64;
-    std::uint32_t fresh = create_set(fs, dom, ctx.mapped_node, ctx.task,
+    std::uint32_t fresh = create_set(fs, dom_id, ctx.mapped_node, ctx.task,
                                      kNoEqSetID, create_step.counters);
     create_step.eqset = fresh;
     out.steps.push_back(std::move(create_step));
@@ -582,8 +606,9 @@ std::vector<AnalysisStep> RayCastEngine::commit(
   // bookkeeping.
   for (std::uint32_t id : ids) {
     EqSet& s = fs.sets[id];
-    if (s.dom.empty()) continue;
-    invariant(dom.contains(s.dom),
+    if (s.dom == IntervalStore::kEmpty) continue;
+    const IntervalSet& set_dom = store_.get(s.dom);
+    invariant(dom.contains(set_dom),
               "commit found an unrefined equivalence set");
     ++local.interval_ops;
     HistEntry e;
@@ -591,7 +616,7 @@ std::vector<AnalysisStep> RayCastEngine::commit(
     e.priv = req.privilege;
     e.owner = ctx.mapped_node;
     if (config_.track_values && !req.privilege.is_read()) {
-      e.values = result.restricted(s.dom);
+      e.values = result.restricted(set_dom);
     }
     if (req.privilege.is_write()) {
       s.history.clear();
@@ -611,15 +636,16 @@ void RayCastEngine::collapse_history(EqSet& s) {
   if (cap == 0 || s.history.size() <= cap) return;
   const std::size_t frontier = s.history.size() - cap;
   if (frontier <= s.collapsed) return;
+  const IntervalSet& dom = store_.get(s.dom);
   if (config_.track_values && !s.composite.has_value())
-    s.composite = RegionData<double>::filled(s.dom, 0.0);
+    s.composite = RegionData<double>::filled(dom, 0.0);
   // GC work, not analysis work: the fold is uncharged (batch never
   // collapses, and modeled costs must not depend on the cap).
   AnalysisCounters scratch;
   for (std::size_t h = s.collapsed; h < frontier; ++h) {
     HistEntry& e = s.history[h];
     if (e.values.has_value()) {
-      paint_entry(*s.composite, e, s.dom, scratch);
+      paint_entry(*s.composite, e, dom, scratch);
       e.values.reset();
     }
     e.collapsed = true;
@@ -633,6 +659,7 @@ EngineStats RayCastEngine::stats() const {
     s.live_eqsets += fs.live;
     s.total_eqsets_created += fs.total_created;
     s.resident_eqset_slots += fs.sets.size();
+    s.interned_domains = store_.size();
     for (const EqSet& eq : fs.sets) {
       if (!eq.live) continue;
       s.history_entries += eq.history.size();
@@ -709,6 +736,21 @@ std::size_t RayCastEngine::compact_husks(std::size_t max_dead) {
     // color_cache / split_signatures / align_cache are keyed by regions
     // and domain signatures, not set ids: untouched.
   }
+
+  // Sweep the domain store down to what the live sets and the region
+  // table use.  A freed id may be reused for another domain, so the
+  // per-domain accel colors of freed ids go too.
+  std::vector<DomId> keep;
+  for (DomId id : region_dom_)
+    if (id != kNone) keep.push_back(id);
+  for (const auto& [field, fs] : fields_)
+    for (const EqSet& s : fs.sets)
+      if (s.live) keep.push_back(s.dom);
+  store_.sweep(keep);
+  for (auto& [field, fs] : fields_)
+    std::erase_if(fs.accel_colors, [this](const auto& entry) {
+      return !store_.holds(entry.first);
+    });
   return reclaimed;
 }
 

@@ -14,6 +14,12 @@
 // back to a dynamic interval tree — the 1-D K-d tree — when no such
 // partition exists.  If the application shifts to a different
 // disjoint-complete partition, the buckets are rebuilt on the new subtree.
+//
+// Domains are interned (geom/interval_store.h): equivalence sets and
+// requirements hold ids, and a split whose (set, cut) pair repeats reuses
+// the memoized intersection and difference, as the cost model assumes.
+// The model's own signatures still decide every charge; the store decides
+// only what the host recomputes.
 #pragma once
 
 #include <unordered_map>
@@ -21,6 +27,7 @@
 #include <vector>
 
 #include "geom/bvh.h"
+#include "geom/interval_store.h"
 #include "geom/interval_tree.h"
 #include "visibility/engine.h"
 #include "visibility/history.h"
@@ -50,14 +57,18 @@ public:
   /// order-stable remap (new id = rank among live ids).  Every consumer —
   /// buckets, the interval-tree fallback, last_sets — scans ids in sorted
   /// order and dead entries cost no counters, so analysis behaviour is
-  /// bit-identical; only the numbering of *future* sets shifts.
+  /// bit-identical; only the numbering of *future* sets shifts.  The same
+  /// pass sweeps the domain store: it keeps the live sets' domains and the
+  /// region table, and drops every memo entry that names a freed domain.
   std::size_t compact_husks(std::size_t max_dead) override;
 
 private:
   static constexpr std::uint32_t kNone = UINT32_MAX;
 
+  using DomId = IntervalStore::Id;
+
   struct EqSet {
-    IntervalSet dom;
+    DomId dom = IntervalStore::kEmpty;
     bool live = true;
     NodeID owner = 0;
     std::vector<HistEntry> history;
@@ -67,6 +78,15 @@ private:
     /// Entries [0, collapsed) of `history` carry the collapsed flag; the
     /// frontier only advances (a write clears the whole history anyway).
     std::uint32_t collapsed = 0;
+  };
+
+  /// The acceleration-partition colors whose subregions overlap a domain,
+  /// and what finding them charged: the BVH nodes visited and one overlap
+  /// test per candidate color.
+  struct AccelColors {
+    std::vector<std::uint64_t> colors;
+    std::uint64_t nodes_visited = 0;
+    std::uint64_t candidates = 0;
   };
 
   struct FieldState {
@@ -92,13 +112,18 @@ private:
     std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> last_sets;
     /// Signatures of (set domain, cut) pairs already refined once: index
     /// space expressions are interned (as in Legion's region forest), so
-    /// re-splitting the same pattern in a later iteration reuses the
-    /// cached intersection instead of recomputing it.
+    /// the model charges re-splitting the same pattern in a later
+    /// iteration as one cache lookup.  These signatures decide the charge
+    /// only; what the host recomputes is up to store_'s exact memo.
     std::unordered_set<std::size_t> split_signatures;
     /// Interned answers to "does a set with this domain signature span
     /// several subregions of the acceleration partition?" — the alignment
     /// test repeats identically every iteration in steady state.
     std::unordered_map<std::size_t, bool> align_cache;
+    /// AccelColors per domain id for the current acceleration partition:
+    /// a set created with a domain seen before reuses the query's answer
+    /// and charges what the query charged.
+    std::unordered_map<DomId, AccelColors> accel_colors;
   };
 
   FieldState& field_state(FieldID field);
@@ -109,9 +134,15 @@ private:
                     AnalysisCounters& local);
   void rebuild_accel(FieldState& fs, AnalysisCounters& local);
 
+  /// The interned domain of a forest region (forest domains never change).
+  DomId region_dom(RegionHandle region);
+
   /// Insert / remove a set id from the current acceleration structure.
   void accel_insert(FieldState& fs, std::uint32_t id,
                     AnalysisCounters& local);
+  /// The accel-partition colors overlapping `dom`, charged to `local`.
+  const AccelColors& accel_colors(FieldState& fs, DomId dom,
+                                  AnalysisCounters& local);
   /// Accel-partition colors whose subregions overlap `dom` (cached per
   /// region handle).
   const std::vector<std::uint64_t>& colors_for(FieldState& fs,
@@ -129,7 +160,7 @@ private:
   /// charged to `charge` (the owner's counters — the owning node builds
   /// its own index entries).  `launch`/`parent` stamp the lifecycle event
   /// (parent = the refined set the new one was carved from, or kNoEqSetID).
-  std::uint32_t create_set(FieldState& fs, IntervalSet dom, NodeID owner,
+  std::uint32_t create_set(FieldState& fs, DomId dom, NodeID owner,
                            LaunchID launch, EqSetID parent,
                            AnalysisCounters& charge);
 
@@ -140,10 +171,10 @@ private:
   /// refinement whose shrinking remainder fragments ever further.  Returns
   /// the pieces, or empty when alignment does not apply.
   std::vector<std::uint32_t> split_aligned(
-      FieldState& fs, std::uint32_t id, const IntervalSet& dom,
+      FieldState& fs, std::uint32_t id, const IntervalSet& dom, DomId dom_id,
       NodeID inside_owner, LaunchID launch, std::vector<AnalysisStep>& steps,
       AnalysisCounters& local);
-  void split_set(FieldState& fs, std::uint32_t id, const IntervalSet& cut,
+  void split_set(FieldState& fs, std::uint32_t id, DomId cut,
                  NodeID inside_owner, LaunchID launch,
                  std::uint32_t& inside_id, std::vector<AnalysisStep>& steps);
 
@@ -156,6 +187,11 @@ private:
 
   EngineConfig config_;
   std::unordered_map<FieldID, FieldState> fields_;
+  /// Every domain the engine holds, shared by all fields; compact_husks
+  /// sweeps it down to the live sets' domains and the region table.
+  IntervalStore store_;
+  /// Interned forest domains by RegionHandle::index (kNone: not yet seen).
+  std::vector<DomId> region_dom_;
 };
 
 } // namespace visrt

@@ -1,7 +1,8 @@
 // Streaming analysis service tests: serve::StreamSession equivalence with
 // the batch oracle under retirement / history collapsing / chunked feeds,
-// bounded residency under caps, and serve::Server end-to-end over stdin
-// streams and AF_UNIX sockets with concurrent clients.
+// bounded residency under caps (launches, ops, ray casting's interned
+// domains), and serve::Server end-to-end over stdin streams and AF_UNIX
+// sockets with concurrent clients.
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -9,6 +10,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <sstream>
@@ -79,6 +81,52 @@ std::string ghost_stream(std::size_t pieces, std::size_t steps,
     if (s % 2 == 1) os << "end_iteration\n";
   }
   return os.str();
+}
+
+/// A ray-casting stream that churns through many overlapping partitions of
+/// one tree, one statement per string: each launch names a random piece of
+/// a random partition with a random privilege, so sets keep refining into
+/// domains not seen before and coalescing away again.
+constexpr std::uint32_t kChurnPartitions = 12;
+constexpr std::uint32_t kChurnPieces = 6;
+std::vector<std::string> churn_stream(std::size_t launches,
+                                      std::uint64_t seed) {
+  Rng rng(seed);
+  constexpr coord_t kTree = 600;
+  std::vector<std::string> lines = {
+      "visprog 1\n", "config nodes=4 dcr=0 tracing=0 subject=raycast\n",
+      "tree A " + std::to_string(kTree) + "\n"};
+  for (std::uint32_t p = 0; p < kChurnPartitions; ++p) {
+    // Pieces of 100 points at a random offset, each with a random hole.
+    std::string line = "partition P" + std::to_string(p) + " parent=0";
+    const coord_t offset = rng.range(0, 99);
+    for (std::uint32_t c = 0; c < kChurnPieces; ++c) {
+      const coord_t lo = (offset + 100 * c) % kTree;
+      const coord_t hi = std::min(kTree - 1, lo + 99);
+      const coord_t hole = rng.range(lo, hi);
+      line += " ";
+      if (hole > lo) line += "[" + std::to_string(lo) + "," +
+                             std::to_string(hole - 1) + "]";
+      if (hole > lo && hole < hi) line += "+";
+      if (hole < hi) line += "[" + std::to_string(hole + 1) + "," +
+                             std::to_string(hi) + "]";
+      if (hole == lo && hole == hi) line += "empty";
+    }
+    lines.push_back(line + "\n");
+  }
+  lines.push_back("field up tree=0 mod=11\n");
+  lines.push_back("field down tree=0 mod=11\n");
+  const char* privileges[] = {"rw", "read", "red:sum"};
+  for (std::size_t l = 0; l < launches; ++l) {
+    const std::uint64_t region =
+        1 + rng.below(kChurnPartitions * kChurnPieces);
+    lines.push_back("task node=" + std::to_string(rng.below(4)) +
+                    " salt=" + std::to_string(l) + " r" +
+                    std::to_string(region) + " f" +
+                    std::to_string(rng.below(2)) + " " +
+                    privileges[rng.below(3)] + "\n");
+  }
+  return lines;
 }
 
 } // namespace
@@ -226,6 +274,54 @@ TEST(ServeSession, HistoryCollapsingPreservesHashes) {
   EXPECT_EQ(collapsed.result().final_hashes, full.result().final_hashes);
   ASSERT_NE(collapsed.runtime(), nullptr);
   EXPECT_GT(collapsed.runtime()->engine_stats().collapsed_entries, 0u);
+}
+
+// Ray casting interns every domain it holds; husk compaction at retirement
+// sweeps that store down to what the live sets and the region table use.
+// Right after each sweep the store holds at most one domain per live set
+// and per region (plus the empty set), so a churning stream's store stays
+// bounded, while without retirement the same stream's store keeps growing.
+TEST(ServeSession, DomainStoreStaysBoundedOnChurningStreams) {
+  constexpr std::size_t kRegions = 1 + kChurnPartitions * kChurnPieces;
+  const std::vector<std::string> lines = churn_stream(12000, 5);
+
+  serve::SessionOptions so;
+  so.retire_every = 16;
+  so.max_resident_launches = 128;
+  so.max_history_depth = 4;
+  so.track_values = false;
+  serve::StreamSession session(so);
+  std::size_t sweeps = 0;
+  std::size_t peak = 0;
+  std::uint64_t reclaimed = 0;
+  for (const std::string& line : lines) {
+    session.feed(line);
+    if (session.runtime() == nullptr) continue;
+    const EngineStats es = session.runtime()->engine_stats();
+    peak = std::max(peak, es.interned_domains);
+    if (session.counters().eqset_slots_reclaimed == reclaimed) continue;
+    reclaimed = session.counters().eqset_slots_reclaimed;
+    ++sweeps;
+    EXPECT_LE(es.interned_domains, es.live_eqsets + kRegions + 1)
+        << "after sweep " << sweeps;
+  }
+  session.finish();
+  EXPECT_EQ(session.counters().rejected, 0u);
+  EXPECT_GE(sweeps, 4u);
+
+  serve::SessionOptions unretired = so;
+  unretired.retire_every = 0;
+  unretired.max_resident_launches = 0;
+  serve::StreamSession growing(unretired);
+  for (const std::string& line : lines) growing.feed(line);
+  growing.finish();
+  ASSERT_NE(growing.runtime(), nullptr);
+  EXPECT_EQ(growing.result().dep_graph_hash, session.result().dep_graph_hash);
+  const std::size_t unbounded =
+      growing.runtime()->engine_stats().interned_domains;
+  std::printf("domain store: peak %zu over %zu sweeps; %zu unretired\n",
+              peak, sweeps, unbounded);
+  EXPECT_GT(unbounded, 2 * peak);
 }
 
 TEST(ServeSession, RejectedStatementsDoNotAbortTheSession) {
