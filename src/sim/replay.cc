@@ -8,14 +8,15 @@
 namespace visrt::sim {
 namespace {
 
-struct ReadyOp {
-  SimTime ready;
-  OpID id;
-  // Earliest-ready first; ties by op id (program order) for determinism.
-  bool operator>(const ReadyOp& o) const {
-    return ready != o.ready ? ready > o.ready : id > o.id;
-  }
-};
+// A ready op as one integer, ready * 2^32 + id: its order is exactly
+// (ready, id), earliest-ready first and ties by op id (program order) for
+// determinism.  Ready times pass 2^31 ns on long streams, so the key is
+// 128 bits wide; the heap then compares one integer instead of two fields.
+__extension__ using ReadyKey = __int128;
+
+ReadyKey ready_key(SimTime ready, OpID id) {
+  return static_cast<ReadyKey>(ready) * (ReadyKey{1} << 32) + id;
+}
 
 } // namespace
 
@@ -76,15 +77,15 @@ ReplayResult replay_below_floor(const WorkGraph& graph,
   std::vector<std::uint8_t> lowers(lowering.empty() ? 0 : n, 0);
   for (OpID t : lowering) lowers[t - base] = 1;
 
-  std::priority_queue<ReadyOp, std::vector<ReadyOp>, std::greater<ReadyOp>>
-      ready;
+  std::priority_queue<ReadyKey, std::vector<ReadyKey>, std::greater<>> ready;
   for (std::size_t i = 0; i < n; ++i)
     if (pending[i] == 0)
-      ready.push(ReadyOp{ready_time[i], base + static_cast<OpID>(i)});
+      ready.push(ready_key(ready_time[i], base + static_cast<OpID>(i)));
 
   SimTime last_at = 0;
-  while (!ready.empty() && ready.top().ready < floor) {
-    auto [at, id] = ready.top();
+  while (!ready.empty() && ready.top() < ready_key(floor, 0)) {
+    const SimTime at = static_cast<SimTime>(ready.top() >> 32);
+    const OpID id = static_cast<OpID>(ready.top());
     ready.pop();
     const std::size_t i = id - base;
     const Op& op = graph.op(id);
@@ -150,7 +151,7 @@ ReplayResult replay_below_floor(const WorkGraph& graph,
     for (std::uint32_t k = first_user[i]; k < first_user[i + 1]; ++k) {
       const std::size_t u = users[k] - base;
       ready_time[u] = std::max(ready_time[u], fin);
-      if (--pending[u] == 0) ready.push(ReadyOp{ready_time[u], users[k]});
+      if (--pending[u] == 0) ready.push(ready_key(ready_time[u], users[k]));
     }
   }
 

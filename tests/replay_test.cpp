@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <vector>
+
+#include "common/rng.h"
+#include "reference_replay.h"
 
 namespace visrt::sim {
 namespace {
@@ -148,6 +153,62 @@ TEST(Replay, MarkerFinishesWithLastDep) {
   OpID m = g.marker(0, std::array{a, b});
   ReplayResult r = replay(g, machine(2));
   EXPECT_EQ(r.finish[m], 250);
+}
+
+// The event loop orders ready ops by one integer key; the reference keeps
+// the two-field (ready, id) comparator.  Random graphs built for ties —
+// zero-cost markers, a handful of equal costs, many ops ready at the same
+// instant — with readiness floors and a resumed checkpoint above 2^32 ns
+// must schedule identically.
+TEST(Replay, OneKeyQueueMatchesTwoFieldReference) {
+  constexpr SimTime kHigh = SimTime{1} << 33;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const std::uint32_t nodes = 1 + static_cast<std::uint32_t>(rng.below(4));
+    WorkGraph g;
+    for (int i = 0; i < 300; ++i) {
+      std::vector<OpID> deps;
+      const std::size_t fan = g.size() == 0 ? 0 : rng.below(4);
+      for (std::size_t k = 0; k < fan; ++k)
+        deps.push_back(static_cast<OpID>(rng.below(g.size())));
+      std::sort(deps.begin(), deps.end());
+      deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
+      // Floors from a few values far above 2^32 ns, so ops tie on them.
+      const SimTime floor =
+          rng.chance(0.3) ? kHigh + 100 * static_cast<SimTime>(rng.below(3))
+                          : 0;
+      const NodeID node = static_cast<NodeID>(rng.below(nodes));
+      switch (rng.below(3)) {
+      case 0:
+        g.marker(node, deps, floor);
+        break;
+      case 1:
+        g.message(node, static_cast<NodeID>(rng.below(nodes)),
+                  64 * rng.below(3), deps, OpCategory::Runtime, floor);
+        break;
+      default:
+        g.compute(node, 50 * static_cast<SimTime>(rng.below(3)), deps,
+                  rng.chance(0.5) ? OpCategory::TaskExec
+                                  : OpCategory::Analysis,
+                  floor);
+      }
+    }
+    ReplayCheckpoint start;
+    if (seed % 2 == 0) {
+      for (auto* v : {&start.cpu_free, &start.accel_free, &start.nic_out_free,
+                      &start.nic_in_free, &start.node_busy})
+        v->assign(nodes, kHigh);
+      start.makespan = kHigh;
+    }
+    const MachineConfig m = machine(nodes);
+    ReplayResult got = replay(g, m, &start);
+    ReplayResult want = reference::replay(g, m, &start);
+    EXPECT_EQ(got.finish, want.finish) << "seed " << seed;
+    EXPECT_EQ(got.ready, want.ready) << "seed " << seed;
+    EXPECT_EQ(got.makespan, want.makespan) << "seed " << seed;
+    EXPECT_EQ(got.node_busy, want.node_busy) << "seed " << seed;
+    EXPECT_GT(got.makespan, kHigh) << "seed " << seed;
+  }
 }
 
 } // namespace
