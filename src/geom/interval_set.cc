@@ -55,6 +55,19 @@ IntervalSet IntervalSet::from_points(std::vector<coord_t> points) {
   return from_intervals(std::move(ivs));
 }
 
+void IntervalSet::append(const Interval& iv) {
+  if (iv.empty()) return;
+  if (!intervals_.empty()) {
+    Interval& last = intervals_.back();
+    invariant(iv.lo > last.hi, "IntervalSet::append: interval out of order");
+    if (iv.lo == last.hi + 1) {
+      last.hi = iv.hi;
+      return;
+    }
+  }
+  intervals_.push_back(iv);
+}
+
 coord_t IntervalSet::volume() const {
   coord_t total = 0;
   for (const Interval& iv : intervals_) total += iv.size();

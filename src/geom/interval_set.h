@@ -64,6 +64,13 @@ public:
   /// Set holding exactly the given points.
   static IntervalSet from_points(std::vector<coord_t> points);
 
+  /// Room for `n` intervals, so that `n` appends allocate once.
+  void reserve(std::size_t n) { intervals_.reserve(n); }
+  /// Add an interval that starts past the set's last point; one that
+  /// touches the last interval extends it.  Runs that arrive in point
+  /// order build a set this way without a sort.
+  void append(const Interval& iv);
+
   bool empty() const { return intervals_.empty(); }
   /// Number of points in the set.
   coord_t volume() const;

@@ -119,7 +119,8 @@ void InstanceMap::RunTable::erase(Pos p) {
 }
 
 InstanceMap::InstanceMap(std::uint32_t nodes, NodeID home, IntervalSet domain)
-    : nodes_(nodes), sets_(nodes), compact_at_(kMinCompact) {
+    : nodes_(nodes), sets_(nodes), per_source_(nodes, 0),
+      compact_at_(kMinCompact) {
   require(home < nodes, "home node out of range");
   Pos end;
   for (const Interval& iv : domain.intervals())
@@ -168,7 +169,7 @@ std::vector<CopyPlan> InstanceMap::plan_read(NodeID dst,
 
   // 1. Fetch points not yet valid at dst, each from its lowest-numbered
   // holder; dst joins the holders of the whole domain.
-  std::vector<std::pair<NodeID, Interval>> fetch;
+  fetch_.clear();
   Pos at;
   for (const Interval& iv : domain.intervals()) {
     at = runs_.seek(iv.lo, at);
@@ -178,24 +179,29 @@ std::vector<CopyPlan> InstanceMap::plan_read(NodeID dst,
       const Run& run = runs_[at];
       if (!sets_.contains(run.holders, dst)) {
         const coord_t hi = std::min(iv.hi, run.hi);
-        fetch.emplace_back(sets_.lowest(run.holders), Interval{pos, hi});
+        fetch_.emplace_back(sets_.lowest(run.holders), Interval{pos, hi});
         at = assign(at, pos, hi, sets_.with(run.holders, dst));
       }
       if (runs_[at].hi >= iv.hi) break;
     }
   }
-  std::stable_sort(fetch.begin(), fetch.end(), [](const auto& a,
-                                                  const auto& b) {
-    return a.first < b.first;
-  });
-  for (std::size_t k = 0; k < fetch.size();) {
-    const NodeID src = fetch[k].first;
-    std::vector<Interval> ivs;
-    for (; k < fetch.size() && fetch[k].first == src; ++k)
-      ivs.push_back(fetch[k].second);
-    plans.push_back(CopyPlan{CopyPlan::Kind::Copy, src, dst,
-                             IntervalSet::from_intervals(std::move(ivs))});
+  // One plan per source, by ascending source, without sorting the
+  // fetches: count each source's runs, size its plan's points to them, and
+  // append the runs, which arrive in point order.  Between the passes a
+  // source's count slot holds the index of its plan.
+  sources_.clear();
+  for (const auto& [src, iv] : fetch_)
+    if (per_source_[src]++ == 0) sources_.push_back(src);
+  std::sort(sources_.begin(), sources_.end());
+  plans.reserve(sources_.size());
+  for (NodeID src : sources_) {
+    plans.push_back(CopyPlan{CopyPlan::Kind::Copy, src, dst, {}});
+    plans.back().points.reserve(per_source_[src]);
+    per_source_[src] = static_cast<std::uint32_t>(plans.size() - 1);
   }
+  for (const auto& [src, iv] : fetch_)
+    plans[per_source_[src]].points.append(iv);
+  for (NodeID src : sources_) per_source_[src] = 0;
 
   // 2. Apply pending reduction buffers overlapping the domain, in creation
   // order.  Applied points change value, so dst becomes the only valid

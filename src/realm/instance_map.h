@@ -31,6 +31,7 @@
 #include <map>
 #include <set>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -220,6 +221,11 @@ private:
   std::uint32_t nodes_;
   HolderSets sets_;
   RunTable runs_;
+  /// plan_read's scratch: the (source, run) fetches in point order, their
+  /// distinct sources, and a per-node count that is zero between calls.
+  std::vector<std::pair<NodeID, Interval>> fetch_;
+  std::vector<NodeID> sources_;
+  std::vector<std::uint32_t> per_source_;
   std::map<std::uint64_t, Pending> pending_; ///< by creation order
   std::array<PendingIndex, 64> by_span_;
   std::uint64_t levels_ = 0; ///< bit L set when by_span_[L] is not empty
