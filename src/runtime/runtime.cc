@@ -513,20 +513,15 @@ void Runtime::end_iteration() {
     SimTime cost = config_.costs.dcr_stream_ns *
                    static_cast<SimTime>(launches_this_iteration_);
     for (NodeID n = 0; n < config_.machine.num_nodes; ++n) {
-      std::vector<sim::OpID> deps;
-      SimTime floor = 0;
-      if (issue_tail_[n] == sim::kFrozenOp)
-        floor = issue_tail_finish_[n];
-      else if (issue_tail_[n] != sim::kInvalidOp)
-        deps.push_back(issue_tail_[n]);
+      const bool frozen = issue_tail_[n] == sim::kFrozenOp;
+      const sim::OpID tail = frozen ? sim::kInvalidOp : issue_tail_[n];
       issue_tail_[n] =
-          graph_.compute(n, cost, deps, sim::OpCategory::Runtime, floor);
+          graph_.compute(n, cost, deps_on(tail), sim::OpCategory::Runtime,
+                         frozen ? issue_tail_finish_[n] : 0);
       current_iteration_execs_.push_back(issue_tail_[n]);
     }
   }
   launches_this_iteration_ = 0;
-  std::vector<sim::OpID> deps = std::move(current_iteration_execs_);
-  current_iteration_execs_.clear();
   // Retired current-iteration ops and a retired previous marker join
   // through the readiness floor instead of dependence edges.
   SimTime floor = iteration_floor_;
@@ -534,8 +529,9 @@ void Runtime::end_iteration() {
   if (last_marker_ == sim::kFrozenOp)
     floor = std::max(floor, last_marker_finish_);
   else if (last_marker_ != sim::kInvalidOp)
-    deps.push_back(last_marker_);
-  sim::OpID marker = graph_.marker(0, deps, floor);
+    current_iteration_execs_.push_back(last_marker_);
+  sim::OpID marker = graph_.marker(0, current_iteration_execs_, floor);
+  current_iteration_execs_.clear();
   ++iteration_count_;
   if (first_marker_ == sim::kInvalidOp) first_marker_ = marker;
   last_marker_ = marker;
