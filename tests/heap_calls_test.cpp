@@ -21,6 +21,7 @@
 
 #include "apps/circuit.h"
 #include "apps/stencil.h"
+#include "geom/interval_store.h"
 #include "runtime/runtime.h"
 #include "serve/session.h"
 
@@ -102,8 +103,8 @@ TEST(HeapCalls, StencilWarnock) {
     cfg.iterations = iterations;
     return run_app<apps::StencilApp>(rc, cfg);
   };
-  // Measured: 52.54.
-  EXPECT_LE(steady_calls_per_launch(run, 4, 20, "stencil warnock"), 53.0);
+  // Measured: 39.91.
+  EXPECT_LE(steady_calls_per_launch(run, 4, 20, "stencil warnock"), 40.0);
 }
 
 TEST(HeapCalls, CircuitRayCastDcr) {
@@ -121,9 +122,9 @@ TEST(HeapCalls, CircuitRayCastDcr) {
     cfg.iterations = iterations;
     return run_app<apps::CircuitApp>(rc, cfg);
   };
-  // Measured: 107.23.
+  // Measured: 71.44.
   EXPECT_LE(steady_calls_per_launch(run, 4, 20, "circuit raycast dcr"),
-            108.0);
+            72.0);
 }
 
 /// A Figure 5 ghost exchange over 8 pieces fed statement by statement to a
@@ -165,9 +166,31 @@ TEST(HeapCalls, GhostStreamRetire) {
     t.launches = session.counters().launches;
     return t;
   };
-  // Measured: 74.55.
+  // Measured: 65.45.
   EXPECT_LE(steady_calls_per_launch(run, 256, 1024, "ghost stream retire"),
-            75.0);
+            66.0);
+}
+
+/// Ray casting's interned domains: once an operation on two ids is
+/// memoized, repeating it costs a hash probe and no heap call.
+TEST(HeapCalls, DomainStoreMemoHits) {
+  IntervalStore store;
+  std::vector<IntervalStore::Id> ids;
+  for (coord_t k = 0; k < 24; ++k)
+    ids.push_back(
+        store.intern(IntervalSet{{k, k + 9}, {3 * k + 40, 4 * k + 60}}));
+  auto all_ops = [&] {
+    for (IntervalStore::Id a : ids)
+      for (IntervalStore::Id b : ids) {
+        store.intersect(a, b);
+        store.subtract(a, b);
+        store.unite(a, b);
+      }
+  };
+  all_ops(); // fills the memo
+  const std::uint64_t before = g_heap_calls.load();
+  all_ops(); // every call is a hit
+  EXPECT_EQ(g_heap_calls.load() - before, 0u);
 }
 
 } // namespace
