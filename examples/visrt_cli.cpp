@@ -236,7 +236,6 @@ int run_verify(std::vector<std::string> args) {
   std::size_t total_edges = 0;
   std::size_t total_interfering = 0;
   std::size_t total_transitive = 0;
-  std::size_t total_relabels = 0;
   const auto wall_start = std::chrono::steady_clock::now();
   std::ostringstream json;
   json << "{\"schema_version\":1,\"programs\":[";
@@ -299,7 +298,6 @@ int run_verify(std::vector<std::string> args) {
         total_edges += result.report.dep_edges;
         total_interfering += result.report.interfering_pairs;
         total_transitive += result.report.transitive_edges;
-        total_relabels += result.report.order_relabels;
         if (!result.report.clean()) all_ok = false;
       }
     }
@@ -324,7 +322,6 @@ int run_verify(std::vector<std::string> args) {
         << ",\"nodes\":" << total_nodes << ",\"edges\":" << total_edges
         << ",\"interfering_pairs\":" << total_interfering
         << ",\"transitive_edges\":" << total_transitive
-        << ",\"order_relabels\":" << total_relabels
         << ",\"ok\":" << (all_ok ? "true" : "false")
         << ",\"timing\":{\"wall_s\":" << obs::json_number(wall_s) << "}}}\n";
     if (out) std::printf("metrics written to %s\n", metrics_path.c_str());

@@ -336,7 +336,7 @@ private:
       const std::uint64_t id = launches.size();
       // partners[j]: earlier launches requirement j interferes with.
       std::vector<std::vector<std::uint64_t>> partners(reqs.size());
-      std::set<std::uint64_t> all;
+      std::vector<std::uint64_t> all; // their union, ascending
       for (std::uint64_t a = 0; a < id; ++a) {
         for (std::size_t j = 0; j < reqs.size(); ++j) {
           const IntervalSet& dj = forest_.domain(reqs[j].region);
@@ -345,7 +345,7 @@ private:
             if (!interferes(ra.privilege, reqs[j].privilege)) continue;
             if (!forest_.domain(ra.region).overlaps(dj)) continue;
             partners[j].push_back(a);
-            all.insert(a);
+            if (all.empty() || all.back() != a) all.push_back(a);
             break;
           }
         }
@@ -386,8 +386,7 @@ private:
         add(LintRule::RedundantEdges, LintSeverity::Warning, i, os.str());
       }
 
-      order.add_node(id);
-      for (std::uint64_t a : all) order.add_edge(a, id);
+      order.add_node(all);
       launches.push_back(std::move(reqs));
     }
   }

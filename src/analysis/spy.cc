@@ -65,7 +65,7 @@ public:
     std::span<const ExecWindow> windows;
   };
 
-  explicit Sweep(LaunchID base) : base_(base) {}
+  explicit Sweep(LaunchID base) : base_(base), order_(base) {}
 
   /// The launch the next step() checks.
   LaunchID next() const {
@@ -80,7 +80,7 @@ public:
   void step(const Scope& s);
 
   /// Put the records in SpyReport::violations order and copy the labels'
-  /// counters into the tally.
+  /// chain count into the tally.
   void close();
 
   /// Counts and records so far; records in discovery order until
@@ -97,8 +97,8 @@ private:
 
   LaunchID base_;
   /// Transitive order over the stepped launches: each step appends its
-  /// launch and the launch's resident predecessors, so every edge targets
-  /// the newest node and no relabel ever happens.
+  /// launch with the launch's resident predecessors.  Its base and end are
+  /// base_ and next().
   OrderMaintenance order_;
   /// Indexed requirements per field, each list in launch order.
   std::map<FieldID, std::vector<Entry>> by_field_;
@@ -120,7 +120,7 @@ void Sweep::prune(LaunchID base) {
   // Launches retired before the sweep reached them are never checked; the
   // labels then restart at `base`.
   if (base > next())
-    order_ = OrderMaintenance();
+    order_ = OrderMaintenance(base);
   else
     order_.retire_prefix(base);
   const std::size_t drop = std::min<std::size_t>(base - base_, stamps_.size());
@@ -134,13 +134,14 @@ void Sweep::step(const Scope& s) {
   const LaunchRecord& rec = s.log[b - base_];
   ++tally.launches;
 
-  // 0. Label b.  Predecessors below the window were proven ordered by the
+  // 0. Label b with its resident predecessors, a suffix of the sorted
+  // list.  Predecessors below the window were proven ordered by the
   // retirement cut; any path between two window launches stays inside
   // the window (every intermediate id lies between the endpoints).
   std::span<const LaunchID> preds = s.deps.preds(b);
-  order_.add_node(b);
-  for (LaunchID p : preds)
-    if (p >= base_) order_.add_edge(p, b);
+  preds = preds.subspan(static_cast<std::size_t>(
+      std::lower_bound(preds.begin(), preds.end(), base_) - preds.begin()));
+  order_.add_node(preds);
 
   // 1. Partners: earlier resident launches with a requirement on the same
   // field, an interfering privilege and an overlapping domain, each found
@@ -188,16 +189,15 @@ void Sweep::step(const Scope& s) {
   // 4. Precision: every resident direct predecessor must be a partner.  An
   // edge that is, but is already implied through another predecessor
   // (a -> ... -> q -> b), adds no ordering constraint: counted as
-  // informational.  Predecessor lists are sorted.
+  // informational.
   for (LaunchID a : preds) {
-    if (a < base_) continue; // the earlier endpoint's record was retired
     if (stamps_[a - base_] != b) {
       ++tally.imprecise_edges;
       record(s, SpyViolationKind::ImpreciseEdge, a, b);
       continue;
     }
     for (LaunchID q : preds) {
-      if (q != a && q >= base_ && order_.precedes(a, q)) {
+      if (order_.precedes(a, q)) {
         ++tally.transitive_edges;
         break;
       }
@@ -238,9 +238,7 @@ void Sweep::close() {
                    [](const SpyViolation& x, const SpyViolation& y) {
                      return x.kind < y.kind;
                    });
-  const OrderStats& stats = order_.stats();
-  tally.order_chains = stats.active_chains;
-  tally.order_relabels = stats.relabels;
+  tally.order_chains = order_.chains();
 }
 
 namespace {
@@ -343,7 +341,6 @@ std::string SpyReport::to_json() const {
      << ",\"transitive_edges\":" << transitive_edges
      << ",\"schedule_overlaps\":" << schedule_overlaps
      << ",\"order_chains\":" << order_chains
-     << ",\"order_relabels\":" << order_relabels
      << ",\"sound\":" << (sound() ? "true" : "false")
      << ",\"precise\":" << (precise() ? "true" : "false")
      << ",\"violations\":[";

@@ -81,12 +81,10 @@ struct SpyReport {
   std::size_t transitive_edges = 0;
   /// Schedule violations: interfering pairs overlapping in sim time.
   std::size_t schedule_overlaps = 0;
-  /// Chains in the order-maintenance structure that answered the order
-  /// queries (a parallelism measure: label width).
+  /// Chains of the sweep's order labels with a resident member when the
+  /// sweep ended (for IncrementalVerifier, as of the last drain): the
+  /// paths the resident launches split into, a parallelism measure.
   std::size_t order_chains = 0;
-  /// Suffix-relabel events the structure suffered — nonzero means edges
-  /// arrived out of append order and the O(1) guarantee degraded.
-  std::size_t order_relabels = 0;
   /// The first kMaxViolationRecords violations of each kind, ordered
   /// unordered-interference, schedule-overlap, imprecise-edge, and within
   /// a kind by (later, earlier) launch.

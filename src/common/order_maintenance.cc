@@ -6,218 +6,95 @@
 
 namespace visrt {
 
-void OrderMaintenance::add_node(std::uint64_t id) {
-  finalize();
-  if (stats_.nodes == 0)
-    base_ = id;
-  else
-    require(id == end(),
-            "order-maintenance nodes must be appended contiguously");
-  nodes_.emplace_back();
-  pending_ = true;
-  ++stats_.nodes;
-}
-
-void OrderMaintenance::add_edge(std::uint64_t from, std::uint64_t to) {
-  require(contains(to), "order-maintenance edge to an unknown node");
-  require(from < to, "order-maintenance edge must point backwards");
-  require(from >= base_, "order-maintenance edge from a retired node");
-  ++stats_.edges;
-  Node& n = node(to);
-  n.preds.push_back(from);
-  if (to + 1 == end()) {
-    if (pending_) return; // folded into the tag at finalize()
-    // The newest node was already finalized by a query: fold just this
-    // predecessor's tag in place.
-    const Node& p = node(from);
-    stats_.label_entries -= n.label.size();
-    if (p.label.size() > n.label.size()) n.label.resize(p.label.size(), kNoPos);
-    for (std::size_t c = 0; c < p.label.size(); ++c)
-      if (p.label[c] != kNoPos &&
-          (n.label[c] == kNoPos || n.label[c] < p.label[c]))
-        n.label[c] = p.label[c];
-    if (p.chain >= n.label.size()) n.label.resize(p.chain + 1, kNoPos);
-    if (n.label[p.chain] == kNoPos || n.label[p.chain] < p.pos)
-      n.label[p.chain] = p.pos;
-    stats_.label_entries += n.label.size();
-    stats_.max_width = std::max(stats_.max_width, n.label.size());
-    return;
+void OrderMaintenance::add_node(std::span<const std::uint64_t> preds) {
+  const std::uint64_t id = end();
+  // The node extends the chain of the first predecessor that is its
+  // chain's tail.
+  Node n{0, 0, labels_.size()};
+  bool extends = false;
+  std::size_t width = 0;
+  for (std::uint64_t q : preds) {
+    require(q >= base_ && q < id,
+            "order-maintenance predecessor is retired or not yet appended");
+    const std::size_t slot = q - base_;
+    const Node& p = nodes_[slot];
+    width = std::max({width, label(slot).size(), std::size_t{p.chain} + 1});
+    if (!extends && tails_[p.chain] == q) {
+      n.chain = p.chain;
+      n.pos = p.pos + 1;
+      extends = true;
+    }
   }
-  // A late edge: every tag from `to` onwards may be stale.  Recompute the
-  // suffix (chains are untouched — membership never changes).
-  finalize();
-  ++stats_.relabels;
-  for (std::uint64_t id = to; id < end(); ++id) {
-    compute_label(node(id));
-    ++stats_.relabeled_nodes;
+  if (extends) {
+    tails_[n.chain] = id;
+  } else {
+    n.chain = static_cast<std::uint32_t>(tails_.size());
+    tails_.push_back(id);
+  }
+  // Push the node before growing the table, so the newest predecessor's
+  // label ends where this one starts.
+  nodes_.push_back(n);
+  labels_.resize(n.start + width, 0);
+  std::uint32_t* out = labels_.data() + n.start;
+  for (std::uint64_t q : preds) {
+    const std::size_t slot = q - base_;
+    const std::span<const std::uint32_t> in = label(slot);
+    for (std::size_t c = 0; c < in.size(); ++c)
+      out[c] = std::max(out[c], in[c]);
+    const Node& p = nodes_[slot];
+    out[p.chain] = std::max(out[p.chain], p.pos + 1);
   }
 }
 
 bool OrderMaintenance::precedes(std::uint64_t a, std::uint64_t b) const {
   if (a >= b) return false; // append order is topological
-  require(contains(a) && contains(b),
+  require(a >= base_ && b < end(),
           "order query names a retired or unknown node");
-  finalize();
-  const Node& na = node(a);
-  const Node& nb = node(b);
-  if (na.chain == nb.chain) return na.pos < nb.pos;
-  return na.chain < nb.label.size() && nb.label[na.chain] != kNoPos &&
-         nb.label[na.chain] >= na.pos;
+  const Node& na = nodes_[a - base_];
+  const std::span<const std::uint32_t> lb = label(b - base_);
+  return na.chain < lb.size() && lb[na.chain] > na.pos;
 }
 
 void OrderMaintenance::retire_prefix(std::uint64_t new_base) {
   require(new_base >= base_ && new_base <= end(),
           "order-maintenance retirement point out of range");
   if (new_base == base_) return;
-  finalize();
-  const std::size_t drop = new_base - base_;
-  for (std::size_t i = 0; i < drop; ++i)
-    stats_.label_entries -= nodes_[i].label.size();
   nodes_.erase(nodes_.begin(),
-               nodes_.begin() + static_cast<std::ptrdiff_t>(drop));
+               nodes_.begin() + static_cast<std::ptrdiff_t>(new_base - base_));
   base_ = new_base;
-  // Retired predecessors are pruned: a retired node's tag only names
-  // positions of other retired nodes (chain positions grow with id), so a
-  // future suffix relabel loses nothing a resident query could observe.
-  for (Node& n : nodes_)
-    n.preds.erase(
-        std::remove_if(n.preds.begin(), n.preds.end(),
-                       [this](std::uint64_t q) { return q < base_; }),
-        n.preds.end());
-  compact_chains();
+  // Renumber the live chains in order.  A dead chain's entries name only
+  // retired positions, which no resident query can ask about.
+  constexpr std::uint32_t kDead = 0xffffffffu;
+  std::vector<std::uint32_t> renumber(tails_.size(), kDead);
+  std::size_t live = 0;
+  for (std::size_t c = 0; c < tails_.size(); ++c) {
+    if (tails_[c] < base_) continue;
+    renumber[c] = static_cast<std::uint32_t>(live);
+    tails_[live++] = tails_[c];
+  }
+  tails_.resize(live);
+  // Rewrite the resident labels in place, front to back.  A compacted
+  // label is never longer than the original, so writes never overtake
+  // reads.
+  std::size_t out = 0;
+  for (std::size_t slot = 0; slot < nodes_.size(); ++slot) {
+    Node& n = nodes_[slot];
+    const std::size_t stop =
+        slot + 1 < nodes_.size() ? nodes_[slot + 1].start : labels_.size();
+    n.chain = renumber[n.chain];
+    const std::size_t start = out;
+    for (std::size_t k = n.start; k < stop; ++k)
+      if (renumber[k - n.start] != kDead) labels_[out++] = labels_[k];
+    n.start = start;
+  }
+  labels_.resize(out);
 }
 
-void OrderMaintenance::remap_ids(std::span<const std::uint64_t> old_to_new,
-                                 std::uint64_t retired_marker) {
-  finalize();
-  require(old_to_new.size() == nodes_.size(),
-          "order-maintenance remap table must cover the resident nodes");
-  std::vector<Node> kept;
-  kept.reserve(nodes_.size());
-  bool first = true;
-  std::uint64_t new_base = 0;
-  std::uint64_t expect = 0;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (old_to_new[i] == retired_marker) {
-      stats_.label_entries -= nodes_[i].label.size();
-      continue;
-    }
-    if (first) {
-      new_base = old_to_new[i];
-      expect = new_base;
-      first = false;
-    }
-    require(old_to_new[i] == expect,
-            "order-maintenance remap must renumber survivors contiguously");
-    ++expect;
-    kept.push_back(std::move(nodes_[i]));
-  }
-  // Chain tails and predecessor lists are stored as ids: translate them.
-  auto translate = [&](std::uint64_t old_id) -> std::uint64_t {
-    return old_to_new[old_id - base_];
-  };
-  for (Chain& c : chains_) {
-    if (c.tail_id == kNoTail) continue;
-    const std::uint64_t t = translate(c.tail_id);
-    // A chain whose tail retired while earlier members survive stays
-    // queryable but can never be extended again.
-    c.tail_id = t == retired_marker ? kNoTail : t;
-  }
-  for (Node& n : kept) {
-    std::size_t w = 0;
-    for (std::uint64_t q : n.preds) {
-      const std::uint64_t t = translate(q);
-      if (t != retired_marker) n.preds[w++] = t;
-    }
-    n.preds.resize(w);
-  }
-  nodes_ = std::move(kept);
-  base_ = first ? 0 : new_base;
-  compact_chains();
-}
-
-const OrderStats& OrderMaintenance::stats() const {
-  finalize();
-  stats_.active_chains = chains_.size();
-  return stats_;
-}
-
-void OrderMaintenance::finalize() const {
-  if (!pending_) return;
-  pending_ = false;
-  Node& n = nodes_.back();
-  compute_label(n);
-  const std::uint64_t id = end() - 1;
-  for (std::uint64_t q : n.preds) {
-    const Node& p = node(q);
-    Chain& c = chains_[p.chain];
-    if (c.tail_id == q) {
-      n.chain = p.chain;
-      n.pos = c.length++;
-      c.tail_id = id;
-      break;
-    }
-  }
-  if (n.chain == kNoChain) {
-    n.chain = static_cast<std::uint32_t>(chains_.size());
-    n.pos = 0;
-    chains_.push_back(Chain{id, 1});
-    ++stats_.chains;
-  }
-}
-
-void OrderMaintenance::compute_label(Node& n) const {
-  stats_.label_entries -= n.label.size();
-  n.label.clear();
-  for (std::uint64_t q : n.preds) {
-    const Node& p = node(q);
-    if (p.label.size() > n.label.size())
-      n.label.resize(p.label.size(), kNoPos);
-    for (std::size_t c = 0; c < p.label.size(); ++c)
-      if (p.label[c] != kNoPos &&
-          (n.label[c] == kNoPos || n.label[c] < p.label[c]))
-        n.label[c] = p.label[c];
-    if (p.chain >= n.label.size()) n.label.resize(p.chain + 1, kNoPos);
-    if (n.label[p.chain] == kNoPos || n.label[p.chain] < p.pos)
-      n.label[p.chain] = p.pos;
-  }
-  stats_.label_entries += n.label.size();
-  stats_.max_width = std::max(stats_.max_width, n.label.size());
-}
-
-void OrderMaintenance::compact_chains() {
-  std::vector<bool> live(chains_.size(), false);
-  for (const Node& n : nodes_)
-    if (n.chain != kNoChain) live[n.chain] = true;
-  std::size_t alive = 0;
-  for (std::size_t c = 0; c < chains_.size(); ++c)
-    if (live[c]) ++alive;
-  if (alive == chains_.size()) {
-    stats_.active_chains = alive;
-    return;
-  }
-  std::vector<std::uint32_t> remap(chains_.size(), kNoChain);
-  std::vector<Chain> kept;
-  kept.reserve(alive);
-  for (std::size_t c = 0; c < chains_.size(); ++c) {
-    if (!live[c]) continue;
-    remap[c] = static_cast<std::uint32_t>(kept.size());
-    kept.push_back(chains_[c]);
-  }
-  for (Node& n : nodes_) {
-    n.chain = remap[n.chain];
-    stats_.label_entries -= n.label.size();
-    std::vector<std::uint32_t> relabeled;
-    for (std::size_t c = 0; c < n.label.size(); ++c) {
-      if (n.label[c] == kNoPos || remap[c] == kNoChain) continue;
-      if (remap[c] >= relabeled.size()) relabeled.resize(remap[c] + 1, kNoPos);
-      relabeled[remap[c]] = n.label[c];
-    }
-    n.label = std::move(relabeled);
-    stats_.label_entries += n.label.size();
-  }
-  chains_ = std::move(kept);
-  stats_.active_chains = chains_.size();
+std::span<const std::uint32_t> OrderMaintenance::label(std::size_t slot) const {
+  const std::size_t stop =
+      slot + 1 < nodes_.size() ? nodes_[slot + 1].start : labels_.size();
+  return std::span<const std::uint32_t>(labels_).subspan(
+      nodes_[slot].start, stop - nodes_[slot].start);
 }
 
 } // namespace visrt

@@ -1,84 +1,84 @@
-// Differential property suite for the order-maintenance structure
-// (common/order_maintenance.h): `precedes()` is compared bit-for-bit
-// against a brute-force transitive closure over randomized DAGs, through
-// append-order edge streams, late-edge relabels, retirement-style prefix
-// removal, and op-id remapping (contiguous and scattered, as
-// WorkGraph::retire_ready_before produces).  Labeled `concurrency` so the
-// tsan leg also exercises the concurrent const-query path.
+// Differential property suite for the order labels
+// (common/order_maintenance.h): `precedes()` is compared bit-for-bit with a
+// brute-force transitive closure over random DAGs appended node by node,
+// with and without prefix retirement.  Labeled `concurrency` so the tsan
+// leg also exercises concurrent const queries.
 
 #include "common/order_maintenance.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <thread>
 #include <vector>
 
+#include "common/check.h"
 #include "common/rng.h"
 
 namespace visrt {
 namespace {
 
-constexpr std::uint64_t kRetired = ~std::uint64_t{0};
+using Preds = std::vector<std::uint64_t>;
 
-/// Brute-force ground truth: reach[b] holds one bit per node a with a
-/// transitive path a -> b.  Node ids are absolute; rows are dense over
-/// [0, n).
+/// Brute-force ground truth, independent of the labels: row b holds one
+/// bit per earlier node a with a path a -> b, the union of b's
+/// predecessors and their rows.
 class Closure {
 public:
-  explicit Closure(std::size_t n) : n_(n), reach_(n, std::vector<bool>(n)) {}
-
-  void add_edge(std::size_t from, std::size_t to) {
-    if (reach_[to][from]) return;
-    reach_[to][from] = true;
-    // Re-close: to (and everything downstream of it) now sees from's
-    // ancestors.  Quadratic is fine — this is the oracle.
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (std::size_t b = 0; b < n_; ++b)
-        for (std::size_t a = 0; a < n_; ++a) {
-          if (!reach_[b][a]) continue;
-          for (std::size_t p = 0; p < n_; ++p)
-            if (reach_[a][p] && !reach_[b][p]) {
-              reach_[b][p] = true;
-              changed = true;
-            }
-        }
+  void add_node(std::span<const std::uint64_t> preds) {
+    std::vector<bool> row(reach_.size());
+    for (std::uint64_t q : preds) {
+      row[q] = true;
+      for (std::size_t a = 0; a < reach_[q].size(); ++a)
+        if (reach_[q][a]) row[a] = true;
     }
+    reach_.push_back(std::move(row));
   }
 
-  bool precedes(std::size_t a, std::size_t b) const { return reach_[b][a]; }
+  bool precedes(std::uint64_t a, std::uint64_t b) const {
+    return a < b && reach_[b][a];
+  }
 
 private:
-  std::size_t n_;
   std::vector<std::vector<bool>> reach_;
 };
 
-/// Compare every resident pair of `om` against the oracle, with ids
-/// translated through `om_of_truth` (entry t = om id of truth node t, or
-/// kRetired when that node retired out of the structure).
-void expect_equivalent(const OrderMaintenance& om, const Closure& truth,
-                       const std::vector<std::uint64_t>& om_of_truth) {
-  for (std::size_t a = 0; a < om_of_truth.size(); ++a) {
-    if (om_of_truth[a] == kRetired) continue;
-    for (std::size_t b = 0; b < om_of_truth.size(); ++b) {
-      if (om_of_truth[b] == kRetired) continue;
-      ASSERT_EQ(om.precedes(om_of_truth[a], om_of_truth[b]),
-                truth.precedes(a, b))
-          << "pair " << a << " -> " << b;
-    }
+/// Up to `max_degree` distinct ids from [lo, hi), in random order.
+Preds random_preds(Rng& rng, std::uint64_t lo, std::uint64_t hi,
+                   std::size_t max_degree) {
+  Preds preds;
+  if (lo == hi) return preds;
+  for (std::size_t e = rng.below(max_degree + 1); e > 0; --e) {
+    const std::uint64_t q = lo + rng.below(hi - lo);
+    if (std::find(preds.begin(), preds.end(), q) == preds.end())
+      preds.push_back(q);
   }
+  return preds;
+}
+
+void append(OrderMaintenance& om, Closure& truth, const Preds& preds) {
+  om.add_node(preds);
+  truth.add_node(preds);
+}
+
+/// Compare every resident pair of `om` with the oracle (same ids).
+void expect_equivalent(const OrderMaintenance& om, const Closure& truth) {
+  for (std::uint64_t a = om.base(); a < om.end(); ++a)
+    for (std::uint64_t b = om.base(); b < om.end(); ++b)
+      ASSERT_EQ(om.precedes(a, b), truth.precedes(a, b))
+          << "pair " << a << " -> " << b;
 }
 
 TEST(OrderMaintenance, HandBuiltDiamond) {
   // 0 -> 1 -> 3, 0 -> 2 -> 3; 4 isolated.
   OrderMaintenance om;
-  for (std::uint64_t id = 0; id < 5; ++id) om.add_node(id);
-  om.add_edge(0, 1);
-  om.add_edge(0, 2);
-  om.add_edge(1, 3);
-  om.add_edge(2, 3);
+  om.add_node(Preds{});
+  om.add_node(Preds{0});
+  om.add_node(Preds{0});
+  om.add_node(Preds{1, 2});
+  om.add_node(Preds{});
   EXPECT_TRUE(om.precedes(0, 1));
   EXPECT_TRUE(om.precedes(0, 2));
   EXPECT_TRUE(om.precedes(0, 3));
@@ -92,211 +92,93 @@ TEST(OrderMaintenance, HandBuiltDiamond) {
     EXPECT_FALSE(om.precedes(4, id));
     EXPECT_FALSE(om.precedes(id, id));
   }
-}
-
-TEST(OrderMaintenance, AppendOrderEdgesNeverRelabel) {
-  Rng rng(7);
-  OrderMaintenance om;
-  for (std::uint64_t id = 0; id < 200; ++id) {
-    om.add_node(id);
-    if (id == 0) continue;
-    std::size_t degree = rng.below(4);
-    for (std::size_t e = 0; e < degree; ++e)
-      om.add_edge(rng.below(id), id);
-  }
-  EXPECT_EQ(om.stats().relabels, 0u);
-  EXPECT_EQ(om.stats().nodes, 200u);
-}
-
-TEST(OrderMaintenance, LateEdgesRelabelAndStayCorrect) {
-  // Grow a random DAG in append order, then add edges to *older* targets
-  // and check the suffix relabel restores exact equivalence.
-  Rng rng(21);
-  const std::size_t n = 60;
-  OrderMaintenance om;
-  Closure truth(n);
-  std::vector<std::uint64_t> ids(n);
-  for (std::size_t id = 0; id < n; ++id) {
-    ids[id] = id;
-    om.add_node(id);
-    for (std::size_t e = 0; e < rng.below(3); ++e) {
-      std::size_t from = rng.below(id ? id : 1);
-      if (from == id) continue;
-      om.add_edge(from, id);
-      truth.add_edge(from, id);
-    }
-  }
-  for (int late = 0; late < 30; ++late) {
-    std::size_t to = 1 + rng.below(n - 1);
-    std::size_t from = rng.below(to);
-    om.add_edge(from, to);
-    truth.add_edge(from, to);
-  }
-  EXPECT_GT(om.stats().relabels, 0u);
-  expect_equivalent(om, truth, ids);
+  // Chains 0-1-3, 2 and 4.
+  EXPECT_EQ(om.chains(), 3u);
 }
 
 TEST(OrderMaintenance, RandomDagsDifferentialSweep) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed * 977);
-    const std::size_t n = 20 + rng.below(60);
+    const std::uint64_t n = 20 + rng.below(60);
     OrderMaintenance om;
-    Closure truth(n);
-    std::vector<std::uint64_t> ids(n);
-    for (std::size_t id = 0; id < n; ++id) {
-      ids[id] = id;
-      om.add_node(id);
-      // Mixed shape: mostly fresh-node edges, occasionally a late edge to
-      // an earlier target.
-      for (std::size_t e = 0; e < rng.below(4); ++e) {
-        std::size_t to = id;
-        if (id >= 2 && rng.chance(0.15)) to = 1 + rng.below(id - 1);
-        if (to == 0) continue;
-        std::size_t from = rng.below(to);
-        om.add_edge(from, to);
-        truth.add_edge(from, to);
-      }
-    }
-    expect_equivalent(om, truth, ids);
-    const OrderStats& stats = om.stats();
-    EXPECT_EQ(stats.nodes, n);
-    EXPECT_GE(stats.chains, stats.active_chains);
+    Closure truth;
+    for (std::uint64_t id = 0; id < n; ++id)
+      append(om, truth, random_preds(rng, 0, id, 4));
+    EXPECT_EQ(om.end(), n);
+    EXPECT_LE(om.chains(), n);
+    expect_equivalent(om, truth);
   }
 }
 
 TEST(OrderMaintenance, RetirePrefixKeepsResidentOrder) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     Rng rng(seed * 1313);
-    const std::size_t n = 80;
+    const std::uint64_t n = 80;
     OrderMaintenance om;
-    Closure truth(n);
-    std::vector<std::uint64_t> ids(n, kRetired);
-    std::size_t next = 0;
-    std::uint64_t base = 0;
-    while (next < n) {
-      // Grow a chunk...
-      std::size_t chunk = 1 + rng.below(20);
-      for (; chunk > 0 && next < n; --chunk, ++next) {
-        ids[next] = next;
-        om.add_node(next);
-        for (std::size_t e = 0; e < rng.below(3); ++e) {
-          std::uint64_t from = base + rng.below(next - base ? next - base : 1);
-          if (from >= next) continue;
-          om.add_edge(from, next);
-          truth.add_edge(from, next);
-        }
-      }
-      // ...then retire a random prefix of the resident window.
-      if (next > base && rng.chance(0.7)) {
-        std::uint64_t new_base = base + rng.below(next - base + 1);
+    Closure truth;
+    while (om.end() < n) {
+      // Grow a chunk over the resident window...
+      for (std::size_t chunk = 1 + rng.below(20); chunk > 0 && om.end() < n;
+           --chunk)
+        append(om, truth, random_preds(rng, om.base(), om.end(), 3));
+      // ...then retire a random prefix of it.
+      if (rng.chance(0.7)) {
+        const std::uint64_t new_base =
+            om.base() + rng.below(om.end() - om.base() + 1);
         om.retire_prefix(new_base);
-        for (std::uint64_t id = base; id < new_base; ++id) ids[id] = kRetired;
-        base = new_base;
-        EXPECT_EQ(om.base(), base);
+        EXPECT_EQ(om.base(), new_base);
+        // Only chains with a resident member survive.
+        EXPECT_LE(om.chains(), om.end() - om.base());
       }
-      expect_equivalent(om, truth, ids);
+      expect_equivalent(om, truth);
     }
   }
 }
 
-TEST(OrderMaintenance, RemapContiguousRenumbering) {
-  // Retire a prefix by renumbering survivors down to a new origin — the
-  // WorkGraph::retire_ready_before compaction shape.
-  Rng rng(4242);
-  const std::size_t n = 50;
-  OrderMaintenance om;
-  Closure truth(n);
-  std::vector<std::uint64_t> ids(n);
-  for (std::size_t id = 0; id < n; ++id) {
-    ids[id] = id;
-    om.add_node(id);
-    for (std::size_t e = 0; e < rng.below(3); ++e) {
-      std::size_t from = rng.below(id ? id : 1);
-      if (from == id) continue;
-      om.add_edge(from, id);
-      truth.add_edge(from, id);
-    }
-  }
-  const std::size_t drop = 17;
-  std::vector<std::uint64_t> old_to_new(n);
-  for (std::size_t i = 0; i < n; ++i)
-    old_to_new[i] = i < drop ? kRetired : i - drop;
-  om.remap_ids(old_to_new, kRetired);
-  EXPECT_EQ(om.base(), 0u);
-  EXPECT_EQ(om.end(), n - drop);
-  for (std::size_t i = 0; i < n; ++i)
-    ids[i] = i < drop ? kRetired : i - drop;
-  expect_equivalent(om, truth, ids);
-  // The structure keeps growing at the remapped origin.
-  om.add_node(n - drop);
-  om.add_edge(0, n - drop);
-  EXPECT_TRUE(om.precedes(0, n - drop));
-}
-
-TEST(OrderMaintenance, RemapScatteredRetirement) {
-  // Scattered retirement: interior nodes drop out and survivors compact,
-  // including chain tails (their chains seal but stay queryable).
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    Rng rng(seed * 31337);
-    const std::size_t n = 40;
-    OrderMaintenance om;
-    Closure truth(n);
-    std::vector<std::uint64_t> ids(n);
-    for (std::size_t id = 0; id < n; ++id) {
-      ids[id] = id;
-      om.add_node(id);
-      for (std::size_t e = 0; e < rng.below(3); ++e) {
-        std::size_t from = rng.below(id ? id : 1);
-        if (from == id) continue;
-        om.add_edge(from, id);
-        truth.add_edge(from, id);
-      }
-    }
-    std::vector<std::uint64_t> old_to_new(n);
-    std::uint64_t next_id = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (rng.chance(0.4)) {
-        old_to_new[i] = kRetired;
-        ids[i] = kRetired;
-      } else {
-        old_to_new[i] = next_id;
-        ids[i] = next_id;
-        ++next_id;
-      }
-    }
-    om.remap_ids(old_to_new, kRetired);
-    expect_equivalent(om, truth, ids);
-  }
+TEST(OrderMaintenance, RejectsRetiredAndUnappendedNodes) {
+  OrderMaintenance om(10);
+  om.add_node(Preds{});   // 10
+  om.add_node(Preds{10}); // 11
+  om.add_node(Preds{11}); // 12
+  om.retire_prefix(11);
+  EXPECT_THROW(om.add_node(Preds{11, 10}), ApiError); // retired
+  EXPECT_THROW(om.add_node(Preds{12, 13}), ApiError); // not yet appended
+  EXPECT_THROW((void)om.precedes(10, 12), ApiError);  // retired
+  EXPECT_THROW((void)om.precedes(11, 13), ApiError);  // not yet appended
+  // A rejected append leaves the labels as they were.
+  EXPECT_EQ(om.end(), 13u);
+  EXPECT_EQ(om.chains(), 1u);
+  om.add_node(Preds{12});
+  EXPECT_TRUE(om.precedes(11, 13));
 }
 
 TEST(OrderMaintenance, ConcurrentConstQueries) {
-  // precedes() is const and must be safe to call from many threads once
-  // the structure is quiescent (concurrent readers of one finished
-  // verification).  stats() first forces label finalization.
+  // precedes() is const and safe to call from many threads once the
+  // labels are quiescent (concurrent readers of one finished
+  // verification).
   Rng rng(99);
-  const std::size_t n = 300;
+  const std::uint64_t n = 300;
   OrderMaintenance om;
-  for (std::size_t id = 0; id < n; ++id) {
-    om.add_node(id);
-    for (std::size_t e = 0; e < rng.below(3); ++e) {
-      std::size_t from = rng.below(id ? id : 1);
-      if (from != id) om.add_edge(from, id);
-    }
-  }
-  (void)om.stats();
+  for (std::uint64_t id = 0; id < n; ++id)
+    om.add_node(random_preds(rng, 0, id, 2));
+  std::uint64_t expected = 0;
+  for (std::uint64_t a = 0; a < n; ++a)
+    for (std::uint64_t b = 0; b < n; ++b)
+      if (om.precedes(a, b)) ++expected;
   std::vector<std::uint64_t> counts(4, 0);
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < counts.size(); ++t) {
     threads.emplace_back([&om, &counts, t, n] {
-      std::uint64_t hits = 0;
-      for (std::size_t a = t; a < n; a += 4)
-        for (std::size_t b = 0; b < n; ++b)
-          if (om.precedes(a, b)) ++hits;
-      counts[t] = hits + 1;
+      for (std::uint64_t a = t; a < n; a += 4)
+        for (std::uint64_t b = 0; b < n; ++b)
+          if (om.precedes(a, b)) ++counts[t];
     });
   }
   for (std::thread& th : threads) th.join();
-  for (std::uint64_t c : counts) EXPECT_GT(c, 0u);
+  std::uint64_t total = 0;
+  for (std::uint64_t c : counts) total += c;
+  EXPECT_EQ(total, expected);
+  EXPECT_GT(expected, 0u);
 }
 
 } // namespace

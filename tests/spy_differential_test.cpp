@@ -207,7 +207,6 @@ void expect_stream_matches_batch(const SpyReport& batch,
   EXPECT_EQ(stream.transitive_edges, batch.transitive_edges) << label;
   EXPECT_EQ(stream.schedule_overlaps, 0u) << label;
   EXPECT_EQ(stream.order_chains, batch.order_chains) << label;
-  EXPECT_EQ(stream.order_relabels, batch.order_relabels) << label;
 
   std::vector<SpyViolation> records;
   for (const SpyViolation& v : batch.violations)
