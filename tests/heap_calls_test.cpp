@@ -1,11 +1,12 @@
 // Steady-state heap calls per launch, pinned.  This executable replaces the
 // global operator new with one that counts its calls, runs small shapes of
 // the three benchmark workloads (Stencil under Warnock, Circuit under ray
-// casting with DCR, and a retiring ghost-exchange stream) twice — a short
-// and a long run — and divides the difference in heap calls by the
-// difference in launches.  What the first launches allocate (fields,
-// equivalence sets, caches) cancels; what is left is what one more launch
-// costs in steady state.
+// casting with DCR, and a retiring ghost-exchange stream, with and without
+// inline verification) and the batch spy verifier twice — a short and a
+// long run — and divides the difference in heap calls by the difference in
+// launches.  What the first launches allocate (fields, equivalence sets,
+// caches) cancels; what is left is what one more launch costs in steady
+// state.
 //
 // Each bound is the count measured when it was set (the same in Release,
 // Debug and ASan builds) plus less than one call, so one more heap call
@@ -19,6 +20,7 @@
 #include <new>
 #include <string>
 
+#include "analysis/spy.h"
 #include "apps/circuit.h"
 #include "apps/stencil.h"
 #include "geom/interval_store.h"
@@ -91,20 +93,51 @@ Tally run_app(const RuntimeConfig& rc, const Config& cfg) {
   return t;
 }
 
+RuntimeConfig stencil_runtime() {
+  RuntimeConfig rc;
+  rc.algorithm = Algorithm::Warnock;
+  rc.track_values = false;
+  rc.machine.num_nodes = 4;
+  return rc;
+}
+
+apps::StencilConfig stencil_config(int iterations) {
+  apps::StencilConfig cfg;
+  cfg.pieces_x = cfg.pieces_y = 2;
+  cfg.tile_rows = cfg.tile_cols = 16;
+  cfg.iterations = iterations;
+  return cfg;
+}
+
 TEST(HeapCalls, StencilWarnock) {
   auto run = [](int iterations) {
-    RuntimeConfig rc;
-    rc.algorithm = Algorithm::Warnock;
-    rc.track_values = false;
-    rc.machine.num_nodes = 4;
-    apps::StencilConfig cfg;
-    cfg.pieces_x = cfg.pieces_y = 2;
-    cfg.tile_rows = cfg.tile_cols = 16;
-    cfg.iterations = iterations;
-    return run_app<apps::StencilApp>(rc, cfg);
+    return run_app<apps::StencilApp>(stencil_runtime(),
+                                     stencil_config(iterations));
   };
   // Measured: 39.91.
   EXPECT_LE(steady_calls_per_launch(run, 4, 20, "stencil warnock"), 40.0);
+}
+
+/// The batch spy verifier over the Stencil shape: only analysis::verify's
+/// heap calls count, per verified launch.
+TEST(HeapCalls, BatchVerifyStencil) {
+  auto run = [](int iterations) {
+    RuntimeConfig rc = stencil_runtime();
+    rc.record_launches = true;
+    Runtime rt(rc);
+    apps::StencilApp app(rt, stencil_config(iterations));
+    app.run();
+    const std::uint64_t before = g_heap_calls.load();
+    const analysis::SpyReport report =
+        analysis::verify(rt.forest(), rt.dep_graph(), rt.launch_log());
+    Tally t;
+    t.heap_calls = g_heap_calls.load() - before;
+    t.launches = report.launches;
+    EXPECT_TRUE(report.clean());
+    return t;
+  };
+  // Measured: 0.13.
+  EXPECT_LE(steady_calls_per_launch(run, 4, 20, "batch verify stencil"), 1.0);
 }
 
 TEST(HeapCalls, CircuitRayCastDcr) {
@@ -128,8 +161,9 @@ TEST(HeapCalls, CircuitRayCastDcr) {
 }
 
 /// A Figure 5 ghost exchange over 8 pieces fed statement by statement to a
-/// session that retires every 64 launches and collapses histories past 8.
-TEST(HeapCalls, GhostStreamRetire) {
+/// session that retires every 64 launches and collapses histories past 8,
+/// with and without inline verification.
+double ghost_stream_calls_per_launch(bool verify) {
   std::string prologue =
       "visprog 1\nconfig nodes=4 dcr=0 tracing=0 subject=raycast\n"
       "tree A 80\npartition P parent=0";
@@ -144,8 +178,9 @@ TEST(HeapCalls, GhostStreamRetire) {
                 std::to_string(10 * (p + 1) + 1) + "]";
   prologue += " [68,69]\nfield up tree=0 mod=11\nfield down tree=0 mod=11\n";
 
-  auto run = [&prologue](int exchanges) {
+  auto run = [&prologue, verify](int exchanges) {
     serve::SessionOptions so;
+    so.verify = verify;
     so.retire_every = 64;
     so.max_resident_launches = 256;
     so.max_history_depth = 8;
@@ -166,9 +201,15 @@ TEST(HeapCalls, GhostStreamRetire) {
     t.launches = session.counters().launches;
     return t;
   };
-  // Measured: 65.45.
-  EXPECT_LE(steady_calls_per_launch(run, 256, 1024, "ghost stream retire"),
-            66.0);
+  return steady_calls_per_launch(run, 256, 1024,
+                                 verify ? "ghost stream retire verify"
+                                        : "ghost stream retire");
+}
+
+TEST(HeapCalls, GhostStreamRetire) {
+  // Measured: 65.45 without verification, 66.46 with it.
+  EXPECT_LE(ghost_stream_calls_per_launch(false), 66.0);
+  EXPECT_LE(ghost_stream_calls_per_launch(true), 67.0);
 }
 
 /// Ray casting's interned domains: once an operation on two ids is
