@@ -16,11 +16,12 @@
 //              (0 when no member of chain c does)
 //
 // It is the entrywise max of the predecessors' labels and of each
-// predecessor's own 1 + position, computed once at the append and never
-// changed.  A node that extends a chain holds its own position in that
-// chain's entry, so `precedes(a, b)` is one comparison: a, at position p
-// of chain c, precedes b iff label_b[c] > p.  Chains opened after b was
-// appended fall off the end of b's label.
+// predecessor's own 1 + position, computed once, when the node is
+// appended; retirement only drops dead chains' entries.  A node that
+// extends a chain holds its own position in that chain's entry, so
+// `precedes(a, b)` is one comparison: a, at position p of chain c,
+// precedes b iff label_b[c] > p.  Chains opened after b was appended fall
+// off the end of b's label.
 //
 // Every label lives in one flat table, run after run in node order, with
 // one start offset per node: the layout of DepGraph's predecessor table.
